@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -411,5 +412,148 @@ func TestWALReplayIdempotent(t *testing.T) {
 	}
 	if v := metricValue(t, fetchMetrics(t, srv.URL), "efficsense_wal_replayed_jobs_total"); v != 1 {
 		t.Fatalf("efficsense_wal_replayed_jobs_total = %g, want 1", v)
+	}
+}
+
+// searchWALRequest is the search the durability tests journal: the
+// smallSearch query over a 16-design grid, budget 12, fixed seed.
+var searchWALRequest = SearchRequest{
+	Query: "max-snr", MaxEvaluations: 12, Seed: 5,
+	Space: &SpaceSpec{Architectures: []string{"baseline"}, Bits: []int{4, 6}, NoiseSteps: 8},
+}
+
+// restartFrom copies a journal image into a fresh directory and recovers
+// a new manager over it — the restart half of a kill-and-restart.
+func restartFrom(t *testing.T, journal []byte, eval dse.PointEvaluator) (*httptest.Server, *Manager) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, wal.FileName), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	walLog, recs, err := wal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, mgr := newDurableServer(t, walLog, eval, ManagerConfig{MaxConcurrentJobs: 1})
+	if err := mgr.Recover(recs); err != nil {
+		t.Fatal(err)
+	}
+	return srv, mgr
+}
+
+// TestWALSearchReplaysTerminalHistory: a finished search survives a
+// restart as history — from the live journal (its terminal state
+// record) and from the clean-shutdown compaction alike. The replayed
+// status carries the same outcome, /results streams the same NDJSON
+// bytes, the event stream marks the state as replayed, and nothing is
+// re-evaluated.
+func TestWALSearchReplaysTerminalHistory(t *testing.T) {
+	dirA := t.TempDir()
+	walA, _, err := wal.Open(dirA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvA, mgrA := newDurableServer(t, walA, &slowEval{}, ManagerConfig{})
+	jobA, err := mgrA.SubmitSearch(context.Background(), searchWALRequest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := waitTerminalAt(t, srvA.URL+"/v1/search/"+jobA.ID)
+	if want.State != string(StateCompleted) || want.Search == nil {
+		t.Fatalf("original search: %+v", want)
+	}
+	wantNDJSON := fetchNDJSON(t, srvA.URL, "/v1/search/"+jobA.ID)
+	mgrA.wg.Wait() // the terminal state record is journaled
+	live, err := os.ReadFile(filepath.Join(dirA, wal.FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgrA.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	compacted, err := os.ReadFile(filepath.Join(dirA, wal.FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, journal := range map[string][]byte{"live": live, "compacted": compacted} {
+		t.Run(name, func(t *testing.T) {
+			eval := &slowEval{}
+			srv, _ := restartFrom(t, journal, eval)
+			got := waitTerminalAt(t, srv.URL+"/v1/search/"+jobA.ID)
+			if got.State != want.State || got.Progress != want.Progress {
+				t.Fatalf("replayed status %s %+v, want %s %+v",
+					got.State, got.Progress, want.State, want.Progress)
+			}
+			gotOut, _ := json.Marshal(got.Search)
+			wantOut, _ := json.Marshal(want.Search)
+			if !bytes.Equal(gotOut, wantOut) {
+				t.Fatalf("replayed outcome differs:\n%s\nwant:\n%s", gotOut, wantOut)
+			}
+			if ndjson := fetchNDJSON(t, srv.URL, "/v1/search/"+jobA.ID); !bytes.Equal(ndjson, wantNDJSON) {
+				t.Fatalf("replayed results differ:\n%s\nwant:\n%s", ndjson, wantNDJSON)
+			}
+			resp, err := http.Get(srv.URL + "/v1/search/" + jobA.ID + "/events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			events := readSSE(t, resp.Body)
+			resp.Body.Close()
+			if len(events) != 1 || events[0].name != "state" ||
+				events[0].data["state"] != want.State || events[0].data["replayed"] != true {
+				t.Fatalf("replayed event stream: %+v", events)
+			}
+			if n := eval.calls.Load(); n != 0 {
+				t.Fatalf("history replay ran %d evaluations, want 0", n)
+			}
+		})
+	}
+}
+
+// TestWALSearchRestartsInFlight: a search killed mid-run (its journal
+// holds the job record and no terminal state) re-runs from the WAL
+// after a restart and lands on the same front as an uninterrupted run.
+func TestWALSearchRestartsInFlight(t *testing.T) {
+	dirA := t.TempDir()
+	walA, _, err := wal.Open(dirA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evalA := &gatedEval{limit: 3, gate: make(chan struct{}), blocked: make(chan struct{}, 1)}
+	defer close(evalA.gate)
+	_, mgrA := newDurableServer(t, walA, evalA, ManagerConfig{MaxConcurrentJobs: 1})
+	jobA, err := mgrA.SubmitSearch(context.Background(), searchWALRequest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-evalA.blocked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("evaluator never reached the gate")
+	}
+	snapshot, err := os.ReadFile(filepath.Join(dirA, wal.FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	refSrv, refMgr := newDurableServer(t, nil, &slowEval{}, ManagerConfig{})
+	refJob, err := refMgr.SubmitSearch(context.Background(), searchWALRequest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := waitTerminalAt(t, refSrv.URL+"/v1/search/"+refJob.ID)
+
+	srv, _ := restartFrom(t, snapshot, &slowEval{})
+	got := waitTerminalAt(t, srv.URL+"/v1/search/"+jobA.ID)
+	if got.State != string(StateCompleted) || got.Search == nil || want.Search == nil {
+		t.Fatalf("restarted search: %+v (reference %+v)", got, want)
+	}
+	gotFront, _ := json.Marshal(got.Search.Front)
+	wantFront, _ := json.Marshal(want.Search.Front)
+	if !bytes.Equal(gotFront, wantFront) {
+		t.Fatalf("restarted front differs from the uninterrupted run:\n%s\nwant:\n%s", gotFront, wantFront)
+	}
+	if a, b := fetchNDJSON(t, srv.URL, "/v1/search/"+jobA.ID), fetchNDJSON(t, refSrv.URL, "/v1/search/"+refJob.ID); !bytes.Equal(a, b) {
+		t.Fatalf("restarted results differ:\n%s\nwant:\n%s", a, b)
 	}
 }
