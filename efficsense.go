@@ -26,7 +26,6 @@ import (
 	"efficsense/internal/cache"
 	"efficsense/internal/chain"
 	"efficsense/internal/classify"
-	"efficsense/internal/cluster"
 	"efficsense/internal/core"
 	"efficsense/internal/dse"
 	"efficsense/internal/dsp"
@@ -37,7 +36,6 @@ import (
 	"efficsense/internal/scenario"
 	"efficsense/internal/search"
 	"efficsense/internal/tech"
-	"efficsense/internal/wal"
 )
 
 // Technology and system parameters (paper Table III).
@@ -380,81 +378,4 @@ func Scenarios() []*Scenario { return scenario.All() }
 // function applied to a single record.
 func SNRVersusReference(ref, out []float64) float64 {
 	return dsp.SNRVersusReference(ref, out)
-}
-
-// Durable job journal (crash-safe append-only JSONL; see DESIGN.md §13).
-// The efficsensed daemon journals job specs and result rows through it
-// so interrupted sweeps resume without re-evaluating finished points;
-// the same primitives are exported for embedders that run the serving
-// layer in-process.
-type (
-	// WALRecord is one journaled entry: an opaque payload under a kind
-	// discriminator, protected by a CRC32 checksum.
-	WALRecord = wal.Record
-	// WALLog is an open journal: goroutine-safe appends to one file.
-	WALLog = wal.Log
-	// WALStats is a journal's point-in-time accounting (appends, fsyncs,
-	// dropped records, file size).
-	WALStats = wal.Stats
-)
-
-// OpenWAL opens (creating if needed) the journal in dir, replays every
-// intact record — truncating a torn tail, skipping corrupt records —
-// and returns the log positioned for appending.
-func OpenWAL(dir string) (*WALLog, []WALRecord, error) { return wal.Open(dir) }
-
-// EncodeWALRecord renders one record as a self-checking JSONL line;
-// DecodeWALRecord parses and checksum-verifies one line back.
-func EncodeWALRecord(kind string, payload interface{}) ([]byte, error) {
-	return wal.Encode(kind, payload)
-}
-
-// DecodeWALRecord parses one journal line, verifying its checksum. It
-// never panics on hostile input.
-func DecodeWALRecord(line []byte) (WALRecord, error) { return wal.Decode(line) }
-
-// Fleet mode (multi-node efficsensed with consistent-hash cache
-// peering; see DESIGN.md §15). A fleet splits the evaluation keyspace
-// over a consistent-hash ring; each node fills remotely-owned cache
-// misses from the key's owner before computing, and peer failures
-// degrade to local compute — never an error row.
-type (
-	// ClusterMember identifies one node of a fleet: a stable name (ring
-	// placement hashes the name, so a node keeps its keyspace segment
-	// across address changes) and a reachable base URL.
-	ClusterMember = cluster.Member
-	// ClusterRing is an immutable consistent-hash ring over a member
-	// set; lookups are lock-free.
-	ClusterRing = cluster.Ring
-	// ClusterPeers is a node's view of its peer group: the current
-	// ring, the peer-protocol client with per-peer health, and the
-	// hit/miss/fill/error accounting behind GET /v1/cluster.
-	ClusterPeers = cluster.Peers
-	// ClusterConfig sizes a peer group client.
-	ClusterConfig = cluster.Config
-	// ClusterStatus is a point-in-time snapshot of the group.
-	ClusterStatus = cluster.Status
-)
-
-// NewClusterRing places each member at vnodes positions derived from
-// its name; vnodes <= 0 selects the default (64).
-func NewClusterRing(vnodes int, members []ClusterMember) *ClusterRing {
-	return cluster.NewRing(vnodes, members)
-}
-
-// NewClusterPeers builds a peer-group client for the configured self
-// node. The group is empty until SetMembers installs a roster.
-func NewClusterPeers(cfg ClusterConfig) (*ClusterPeers, error) { return cluster.NewPeers(cfg) }
-
-// ParseClusterMember parses one "name=addr" entry;
-// ParseClusterMembers a comma-separated list of them (the -peers flag).
-func ParseClusterMember(s string) (ClusterMember, error) { return cluster.ParseMember(s) }
-
-// ParseClusterMembers parses "name=addr,name=addr" membership lists.
-func ParseClusterMembers(s string) ([]ClusterMember, error) { return cluster.ParseMembers(s) }
-
-// LoadClusterMembersFile reads a membership file: one name=addr per
-// line, blank lines and #-comments ignored.
-func LoadClusterMembersFile(path string) ([]ClusterMember, error) {
-	return cluster.LoadMembersFile(path)
 }

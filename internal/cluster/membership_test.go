@@ -124,3 +124,70 @@ func TestWatchFileInstallsUpdates(t *testing.T) {
 		t.Fatal("WatchFile did not stop on context cancel")
 	}
 }
+
+// TestWatchFileRefusesEmptyRoster: an empty roster — what a poll reads
+// between os.WriteFile's truncate and its write — is reported, never
+// installed, however many polls read it.
+func TestWatchFileRefusesEmptyRoster(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "members")
+	if err := os.WriteFile(path, []byte("self=http://s:1\npeer=http://p:2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p := testPeers(t, Config{})
+	ms, _ := LoadMembersFile(path)
+	p.SetMembers(ms)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errs := make(chan error, 1)
+	go p.WatchFile(ctx, path, time.Millisecond, func(err error) {
+		select {
+		case errs <- err:
+		default:
+		}
+	})
+	// Each rewrite differs, so one always postdates the watcher's
+	// initial read; every one of them lists no members.
+	deadline := time.Now().Add(10 * time.Second)
+	for rev := 0; len(errs) == 0; rev++ {
+		if time.Now().After(deadline) {
+			t.Fatal("empty roster never reported")
+		}
+		if err := os.WriteFile(path, []byte(fmt.Sprintf("# emptied, rev %d\n", rev)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := p.Members(); len(got) != 2 {
+		t.Fatalf("empty roster changed membership: %v", got)
+	}
+}
+
+// FuzzParseMembers: any membership-file contents either parse into a
+// roster of valid, uniquely named members or fail cleanly — never a
+// panic, never a duplicate name or an unroutable address let through.
+func FuzzParseMembers(f *testing.F) {
+	f.Add([]byte("# fleet roster\na=http://a:1\n\nb=http://b:2  # rack 2\n"))
+	f.Add([]byte("a=http://a:1\na=http://a:2\n"))
+	f.Add([]byte("a=ftp://a:1\n"))
+	f.Add([]byte("# rev 3\n"))
+	f.Add([]byte(""))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ms, err := parseMembersFile(data)
+		if err != nil {
+			return
+		}
+		seen := make(map[string]bool, len(ms))
+		for _, m := range ms {
+			if seen[m.Name] {
+				t.Fatalf("duplicate member %q accepted", m.Name)
+			}
+			seen[m.Name] = true
+			if err := checkName(m.Name); err != nil {
+				t.Fatalf("invalid name accepted: %v", err)
+			}
+			if err := checkAddr(m.Addr); err != nil {
+				t.Fatalf("invalid address accepted: %v", err)
+			}
+		}
+	})
+}

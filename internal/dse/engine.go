@@ -93,6 +93,7 @@ type Sweep struct {
 	progress  func(done, total int)
 	hook      func(Event)
 	cache     Cache
+	flight    PointFlight // the cache's singleflight path, nil without one
 	retry     *retrier
 	metrics   Metrics
 
@@ -200,6 +201,12 @@ func NewSweep(ev PointEvaluator, opts ...Option) (*Sweep, error) {
 		} else {
 			s.evalID = fmt.Sprintf("anon-ev-%d", anonEvalID.Add(1))
 		}
+	}
+	switch c := s.cache.(type) {
+	case PointFlight:
+		s.flight = c
+	case Flight:
+		s.flight = plainFlight{c}
 	}
 	// The batch-first upgrade: an evaluator that can score several points
 	// in one call gets cache misses dispatched in group-ordered chunks.
@@ -348,29 +355,10 @@ dispatch:
 // only bounds retry backoff (see WithRetry); an in-flight evaluation
 // always runs to its end.
 func (s *Sweep) evalPoint(ctx context.Context, p core.DesignPoint) (res core.Result, cached bool, dur time.Duration) {
-	if pf, ok := s.cache.(PointFlight); ok {
+	if s.flight != nil {
 		key := s.evalID + "/" + p.Key()
 		var evalDur time.Duration
-		res, hit, shared := s.flightDoPoint(ctx, pf, key, p, func() core.Result {
-			start := time.Now()
-			r := s.evaluate(ctx, p)
-			evalDur = time.Since(start)
-			return r
-		})
-		switch {
-		case hit:
-			s.metrics.cacheHits.Add(1)
-			return res, true, 0
-		case shared:
-			s.metrics.deduped.Add(1)
-			return res, true, 0
-		}
-		return res, false, evalDur
-	}
-	if fl, ok := s.cache.(Flight); ok {
-		key := s.evalID + "/" + p.Key()
-		var evalDur time.Duration
-		res, hit, shared := s.flightDo(fl, key, p, func() core.Result {
+		res, hit, shared := s.flightDo(ctx, key, p, func() core.Result {
 			start := time.Now()
 			r := s.evaluate(ctx, p)
 			evalDur = time.Since(start)
@@ -414,29 +402,25 @@ func (s *Sweep) evalPoint(ctx context.Context, p core.DesignPoint) (res core.Res
 
 // flightDo guards the cache's singleflight path with the same no-panic
 // contract safeEvaluate gives the evaluator: a panic inside the cache
-// layer itself (a bug, or an armed cache/flight failpoint) degrades
-// this point instead of killing the worker — and with it the daemon.
-func (s *Sweep) flightDo(fl Flight, key string, p core.DesignPoint, fn func() core.Result) (res core.Result, hit, shared bool) {
+// layer itself (a bug, an armed cache/flight failpoint, or the cluster
+// peer path) degrades this point instead of killing the worker — and
+// with it the daemon.
+func (s *Sweep) flightDo(ctx context.Context, key string, p core.DesignPoint, fn func() core.Result) (res core.Result, hit, shared bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.panics.Add(1)
 			res = core.Result{Point: p, Err: fmt.Errorf("dse: cache flight for %s panicked: %v", p, r)}
 		}
 	}()
-	return fl.Do(key, fn)
+	return s.flight.DoPoint(ctx, key, p, fn)
 }
 
-// flightDoPoint is flightDo for the context-and-point-aware variant
-// (the cluster peering cache): the same recovery contract, so a panic
-// anywhere in the peer path degrades one point, never a worker.
-func (s *Sweep) flightDoPoint(ctx context.Context, pf PointFlight, key string, p core.DesignPoint, fn func() core.Result) (res core.Result, hit, shared bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.metrics.panics.Add(1)
-			res = core.Result{Point: p, Err: fmt.Errorf("dse: cache flight for %s panicked: %v", p, r)}
-		}
-	}()
-	return pf.DoPoint(ctx, key, p, fn)
+// plainFlight adapts a Flight cache to the PointFlight call shape; a
+// plain singleflight needs neither the context nor the point.
+type plainFlight struct{ Flight }
+
+func (f plainFlight) DoPoint(_ context.Context, key string, _ core.DesignPoint, fn func() core.Result) (core.Result, bool, bool) {
+	return f.Do(key, fn)
 }
 
 // safeEvaluate is one guarded evaluator call: the dse/evaluate failpoint
