@@ -54,13 +54,13 @@ func NewServer(mgr *Manager, logger *slog.Logger) *Server {
 		reqDur:    make(map[string]*obs.Histogram),
 	}
 	s.route("POST /v1/evaluate", s.handleEvaluate)
-	s.route("POST /v1/sweeps", s.handleSubmit)
+	s.route("POST /v1/sweeps", submitHandler(s, mgr.Submit))
 	s.route("GET /v1/sweeps", s.handleList)
 	s.route("GET /v1/sweeps/{id}", s.handleStatus)
 	s.route("GET /v1/sweeps/{id}/events", s.handleEvents)
 	s.route("GET /v1/sweeps/{id}/results", s.handleResults)
 	s.route("DELETE /v1/sweeps/{id}", s.handleCancel)
-	s.route("POST /v1/search", s.handleSearchSubmit)
+	s.route("POST /v1/search", submitHandler(s, mgr.SubmitSearch))
 	s.route("GET /v1/search/{id}", s.handleStatus)
 	s.route("GET /v1/search/{id}/events", s.handleEvents)
 	s.route("GET /v1/search/{id}/results", s.handleResults)
@@ -374,38 +374,24 @@ func (s *Server) submitError(w http.ResponseWriter, r *http.Request, err error) 
 // enough for a restart, short enough that clients reconnect promptly.
 const drainRetryAfter = 10 * time.Second
 
-// handleSubmit accepts an asynchronous sweep: 202 + Location on success,
-// 429 + Retry-After when every slot is busy.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.error(w, r, http.StatusBadRequest, CodeBadRequest, "decoding request: %v", err)
-		return
+// submitHandler accepts an asynchronous job of one kind — a sweep
+// (POST /v1/sweeps) or a search (POST /v1/search): 202 + Location on
+// success, 429/503 + Retry-After under backpressure.
+func submitHandler[R any](s *Server, submit func(context.Context, R) (*Job, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req R
+		if err := decodeBody(r, &req); err != nil {
+			s.error(w, r, http.StatusBadRequest, CodeBadRequest, "decoding request: %v", err)
+			return
+		}
+		job, err := submit(r.Context(), req)
+		if s.submitError(w, r, err) {
+			return
+		}
+		st := job.Status()
+		w.Header().Set("Location", st.StatusURL)
+		writeJSON(w, http.StatusAccepted, st)
 	}
-	job, err := s.mgr.Submit(r.Context(), req)
-	if s.submitError(w, r, err) {
-		return
-	}
-	st := job.Status()
-	w.Header().Set("Location", st.StatusURL)
-	writeJSON(w, http.StatusAccepted, st)
-}
-
-// handleSearchSubmit accepts an asynchronous goal-directed search: the
-// same 202/429/503 contract as sweeps, with the job under /v1/search.
-func (s *Server) handleSearchSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SearchRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.error(w, r, http.StatusBadRequest, CodeBadRequest, "decoding request: %v", err)
-		return
-	}
-	job, err := s.mgr.SubmitSearch(r.Context(), req)
-	if s.submitError(w, r, err) {
-		return
-	}
-	st := job.Status()
-	w.Header().Set("Location", st.StatusURL)
-	writeJSON(w, http.StatusAccepted, st)
 }
 
 // validStateFilter accepts the JobState names a ?state= filter may use.
