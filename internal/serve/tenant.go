@@ -279,9 +279,12 @@ func (m *Manager) admitJobLocked(ts *tenantState, now time.Time) error {
 	return nil
 }
 
-// enqueueLocked queues an admitted job on its tenant and dispatches as
+// enqueueLocked tracks an admitted (or recovered in-flight) job, counts
+// it in the drain wait group, queues it on its tenant and dispatches as
 // much queued work as the slots allow. Callers hold m.mu.
 func (m *Manager) enqueueLocked(ts *tenantState, job *Job) {
+	m.jobs[job.ID] = job
+	m.wg.Add(1)
 	ts.queue = append(ts.queue, job)
 	m.dispatchLocked()
 }
