@@ -95,25 +95,45 @@ type Baseline struct {
 // NewBaseline builds the classical chain for the given configuration.
 func NewBaseline(cfg Common) *Baseline {
 	cfg = cfg.withDefaults()
-	gain := cfg.Headroom * (cfg.Sys.VFS / 2) / cfg.InputPeak
-	sampleCap := power.MinSampleCap(cfg.Tech, cfg.Sys, cfg.Bits)
-	lsb := cfg.Sys.VFS / math.Pow(2, float64(cfg.Bits))
-	sar := adc.New(adc.Config{
+	gain := cfg.lnaGain()
+	return &Baseline{
+		cfg:       cfg,
+		gain:      gain,
+		sampleCap: power.MinSampleCap(cfg.Tech, cfg.Sys, cfg.Bits),
+		sar:       newSAR(cfg, cfg.Sys.VFS),
+		lna:       newLNA(cfg, gain),
+	}
+}
+
+// lnaGain is the LNA gain every architecture designs for: InputPeak maps
+// to Headroom of the ADC half range.
+func (c Common) lnaGain() float64 {
+	return c.Headroom * (c.Sys.VFS / 2) / c.InputPeak
+}
+
+// newSAR builds the chain's SAR converter at full scale vfs, with a
+// comparator sized in LSBs of that range.
+func newSAR(cfg Common, vfs float64) *adc.SAR {
+	lsb := vfs / math.Pow(2, float64(cfg.Bits))
+	return adc.New(adc.Config{
 		Bits:            cfg.Bits,
-		VFS:             cfg.Sys.VFS,
+		VFS:             vfs,
 		UnitCap:         cfg.Tech.CUnitMin,
 		MismatchCoeff:   cfg.Tech.MismatchSigma(cfg.Tech.CUnitMin),
 		ComparatorNoise: cfg.ComparatorNoiseLSB * lsb,
 		Seed:            cfg.Seed,
 	})
-	lna := &blocks.LNA{
+}
+
+// newLNA builds the front-end amplifier shared by every architecture.
+func newLNA(cfg Common, gain float64) *blocks.LNA {
+	return &blocks.LNA{
 		Gain:         gain,
 		NoiseRMS:     cfg.LNANoise,
 		Bandwidth:    cfg.Sys.LNABandwidth(),
 		HD3FullScale: 0.001,
 		ClipLevel:    cfg.Sys.VFS / 2,
 	}
-	return &Baseline{cfg: cfg, gain: gain, sampleCap: sampleCap, sar: sar, lna: lna}
 }
 
 // Gain returns the LNA gain chosen for this chain.
@@ -287,27 +307,11 @@ func NewCS(cfg CSConfig) *CSChain {
 	if dcGain < 1e-6 {
 		dcGain = 1e-6
 	}
-	gain := cfg.Headroom * (cfg.Sys.VFS / 2) / cfg.InputPeak
+	gain := cfg.lnaGain()
 	vfsCS := cfg.Sys.VFS * dcGain
-	lsb := vfsCS / math.Pow(2, float64(cfg.Bits))
-	sar := adc.New(adc.Config{
-		Bits:            cfg.Bits,
-		VFS:             vfsCS,
-		UnitCap:         cfg.Tech.CUnitMin,
-		MismatchCoeff:   cfg.Tech.MismatchSigma(cfg.Tech.CUnitMin),
-		ComparatorNoise: cfg.ComparatorNoiseLSB * lsb,
-		Seed:            cfg.Seed,
-	})
-	lna := &blocks.LNA{
-		Gain:         gain,
-		NoiseRMS:     cfg.LNANoise,
-		Bandwidth:    cfg.Sys.LNABandwidth(),
-		HD3FullScale: 0.001,
-		ClipLevel:    cfg.Sys.VFS / 2,
-	}
 	return &CSChain{
 		cfg: cfg, gain: gain, vfsCS: vfsCS, csample: csample,
-		enc: enc, rec: plan.rec, sar: sar, lna: lna,
+		enc: enc, rec: plan.rec, sar: newSAR(cfg.Common, vfsCS), lna: newLNA(cfg.Common, gain),
 	}
 }
 

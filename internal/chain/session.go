@@ -16,6 +16,16 @@ import (
 // from the same seed; buffers grow to the largest record seen and are
 // then reused, so the steady state allocates nothing.
 //
+// Every chain runs through a session in two halves. FrontSession runs the
+// part of a record's chain that does not depend on the ADC resolution;
+// its result is session scratch, valid until the next FrontSession call.
+// FinishSession completes one design point from a front-half result
+// without modifying it, so every design point of a batch group — chains
+// that differ only in resolution — finishes in turn from the one front
+// half the group's lead chain computed. Its dst receives the output
+// waveform (grown as needed, fully overwritten) and is returned inside
+// the Output, so the caller owns the waveform storage.
+//
 // Bit-identity with the classic RunGrid path rests on two facts. First,
 // every chain run starts a fresh noise context from the same seed, so the
 // derived "lna-noise" and "sh-noise" streams are the same sequence for
@@ -35,9 +45,9 @@ type EvalSession struct {
 	shU    []float64 // unit-normal bank of the "sh-noise" stream
 
 	amp []float64 // amplified waveform (grid rate)
-	dec []float64 // decimated waveform (f_sample)
+	dec []float64 // decimated or digitised waveform (f_sample)
 	y   []float64 // encoder measurements
-	yq  []float64 // quantised measurements
+	yq  []float64 // quantised (or digitally encoded) measurements
 	rs  cs.ReconScratch
 }
 
@@ -138,20 +148,51 @@ func (s *EvalSession) lnaProcess(l *blocks.LNA, rate float64, in []float64) []fl
 	return out
 }
 
-// AmplifySession runs the baseline LNA over one grid record. The returned
-// slice is session scratch, valid until the next Amplify/Encode call — it
-// is shared across every design point of a batch group whose LNA settings
-// coincide (gain and noise floor do not depend on the ADC resolution).
-func (b *Baseline) AmplifySession(s *EvalSession, grid []float64) []float64 {
+// decimate keeps every d-th sample of in (ideal decimation) in the
+// session's decimated-waveform buffer.
+func (s *EvalSession) decimate(in []float64, d int) []float64 {
+	s.dec = growFloats(s.dec, (len(in)+d-1)/d)
+	j := 0
+	for i := 0; i < len(in); i += d {
+		s.dec[j] = in[i]
+		j++
+	}
+	return s.dec
+}
+
+// FrontSession runs the baseline LNA over one grid record. Gain and noise
+// floor do not depend on the ADC resolution.
+func (b *Baseline) FrontSession(s *EvalSession, grid []float64) []float64 {
 	return s.lnaProcess(b.lna, b.cfg.GridRate(), grid)
 }
 
-// DigitizeSession finishes a baseline run from an amplified waveform:
+// AmplifySession is FrontSession, named for the stage it runs.
+func (b *Baseline) AmplifySession(s *EvalSession, grid []float64) []float64 {
+	return b.FrontSession(s, grid)
+}
+
+// FinishSession finishes a baseline run from an amplified waveform:
 // sample & hold with the session's replayed kT/C noise bank, then SAR
-// conversion through this chain's stateful converter. dst receives the
-// digital output (grown as needed, fully overwritten) and is returned
-// inside the Output, so the caller owns the waveform storage.
+// conversion through this chain's stateful converter into dst.
+func (b *Baseline) FinishSession(s *EvalSession, amplified, dst []float64) Output {
+	dst = b.digitize(s, amplified, dst)
+	return Output{
+		Samples:  dst,
+		Rate:     b.cfg.Sys.FSample(),
+		Gain:     b.gain,
+		Power:    b.PowerBreakdown(dsp.RMS(dst), dsp.Mean(dst)),
+		AreaCaps: b.Area(),
+	}
+}
+
+// DigitizeSession is FinishSession, named for the stage it runs.
 func (b *Baseline) DigitizeSession(s *EvalSession, amplified, dst []float64) Output {
+	return b.FinishSession(s, amplified, dst)
+}
+
+// digitize samples an amplified waveform onto dst with the session's
+// replayed kT/C noise bank and converts it in place.
+func (b *Baseline) digitize(s *EvalSession, amplified, dst []float64) []float64 {
 	cfg := b.cfg
 	temp := cfg.Tech.Temperature
 	if temp <= 0 {
@@ -178,20 +219,7 @@ func (b *Baseline) DigitizeSession(s *EvalSession, amplified, dst []float64) Out
 			j++
 		}
 	}
-	dst = b.sar.ConvertInto(dst, dst)
-	return Output{
-		Samples:  dst,
-		Rate:     cfg.Sys.FSample(),
-		Gain:     b.gain,
-		Power:    b.PowerBreakdown(dsp.RMS(dst), dsp.Mean(dst)),
-		AreaCaps: b.Area(),
-	}
-}
-
-// RunGridSession is RunGrid through the session path: identical results,
-// no per-run allocation beyond dst growth.
-func (b *Baseline) RunGridSession(s *EvalSession, grid, dst []float64) Output {
-	return b.DigitizeSession(s, b.AmplifySession(s, grid), dst)
+	return b.sar.ConvertInto(dst, dst)
 }
 
 // reconstructorInto is the optional allocation-free recovery fast path
@@ -200,30 +228,26 @@ type reconstructorInto interface {
 	ReconstructInto(dst, y []float64, sc *cs.ReconScratch) []float64
 }
 
-// EncodeSession runs the CS front half — LNA, ideal decimation, the
-// charge-sharing encoder — over one grid record. The returned measurement
-// vector is session scratch, valid until the next Amplify/Encode call.
-// Because the encoder realisation depends only on (geometry, seed), the
-// measurements are shared across every design point of a group that
-// differs only in ADC resolution.
-func (c *CSChain) EncodeSession(s *EvalSession, grid []float64) []float64 {
-	amplified := s.lnaProcess(c.lna, c.cfg.GridRate(), grid)
-	d := c.cfg.SimOversample
-	n := (len(amplified) + d - 1) / d
-	s.dec = growFloats(s.dec, n)
-	j := 0
-	for i := 0; i < len(amplified); i += d {
-		s.dec[j] = amplified[i]
-		j++
-	}
-	s.y = c.enc.EncodeInto(s.y, s.dec)
+// FrontSession runs the CS front half — LNA, ideal decimation, the
+// charge-sharing encoder — over one grid record. The encoder realisation
+// depends only on (geometry, seed), never on the ADC resolution.
+func (c *CSChain) FrontSession(s *EvalSession, grid []float64) []float64 {
+	// The encoder's sampling capacitors take the samples directly; its
+	// own kT/C model injects the sampling noise, so the decimation here
+	// is ideal.
+	sampled := s.decimate(s.lnaProcess(c.lna, c.cfg.GridRate(), grid), c.cfg.SimOversample)
+	s.y = c.enc.EncodeInto(s.y, sampled)
 	return s.y
+}
+
+// EncodeSession is FrontSession, named for the stage it runs.
+func (c *CSChain) EncodeSession(s *EvalSession, grid []float64) []float64 {
+	return c.FrontSession(s, grid)
 }
 
 // FinishSession completes a CS run from a measurement vector: SAR
 // conversion through this chain's stateful converter, then sparse
-// reconstruction. dst receives the reconstructed waveform (grown as
-// needed, fully overwritten) and is returned inside the Output.
+// reconstruction into dst.
 func (c *CSChain) FinishSession(s *EvalSession, y, dst []float64) Output {
 	cfg := c.cfg
 	s.yq = c.sar.ConvertInto(s.yq, y)
@@ -243,10 +267,14 @@ func (c *CSChain) FinishSession(s *EvalSession, y, dst []float64) Output {
 	}
 }
 
-// RunGridSession is RunGrid through the session path: identical results,
-// no per-run allocation beyond dst growth.
-func (c *CSChain) RunGridSession(s *EvalSession, grid, dst []float64) Output {
-	return c.FinishSession(s, c.EncodeSession(s, grid), dst)
+// maxRowCount returns the busiest measurement row's share count, which
+// sets each CS architecture's measurement-range scaling.
+func maxRowCount(phi *cs.SRBM) int {
+	n := 0
+	for _, k := range phi.RowCounts() {
+		n = max(n, k)
+	}
+	return n
 }
 
 // csPlanKey identifies everything the expensive, design-point-independent
@@ -301,12 +329,7 @@ func planForCS(cfg CSConfig, csample float64) *csPlan {
 	// concurrent duplicate builds of the same key are harmless (both
 	// produce identical read-only plans; one wins the map slot).
 	phi := cs.GenerateSRBM(cfg.M, cfg.NPhi, cfg.Sparsity, cfg.Seed)
-	maxCount := 0
-	for _, k := range phi.RowCounts() {
-		if k > maxCount {
-			maxCount = k
-		}
-	}
+	maxCount := maxRowCount(phi)
 	a := cs.NominalEffectiveMatrix(phi, csample, cfg.CHold)
 	var rec reconstructor
 	if cfg.ReconMethod == cs.MethodOMP {

@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"fmt"
 	"testing"
 
 	"efficsense/internal/dsp"
@@ -9,90 +10,117 @@ import (
 
 // gridFor resamples the multitone test input onto the simulation grid.
 func gridFor(cfg Common, n int) []float64 {
-	return dsp.Resample(testInput(n), 512, cfg.GridRate())
+	return dsp.Resample(testInput(n), 512, cfg.withDefaults().GridRate())
 }
 
-// TestBaselineSessionBitIdentical pins the session fast path to the
-// classic per-run path bit for bit, across consecutive records (the SAR
-// comparator stream is stateful, so record order matters).
+// gridChain is a chain with both the classic and the session form.
+type gridChain interface {
+	FrontSession(s *EvalSession, grid []float64) []float64
+	FinishSession(s *EvalSession, front, dst []float64) Output
+	RunGrid(grid []float64) Output
+}
+
+func requireSameOutput(t *testing.T, label string, got, want Output) {
+	t.Helper()
+	if len(got.Samples) != len(want.Samples) {
+		t.Fatalf("%s: length %d != %d", label, len(got.Samples), len(want.Samples))
+	}
+	for i := range want.Samples {
+		if got.Samples[i] != want.Samples[i] {
+			t.Fatalf("%s sample %d: %v != %v", label, i, got.Samples[i], want.Samples[i])
+		}
+	}
+	if got.Power.Total() != want.Power.Total() || got.AreaCaps != want.AreaCaps {
+		t.Fatalf("%s: power/area mismatch", label)
+	}
+}
+
+// checkSessionBitIdentical pins an architecture's session path to its
+// classic RunGrid bit for bit, across consecutive records (the SAR
+// comparator and encoder noise streams are stateful, so record order
+// matters). It covers whole runs and the grouped form: a bits=7 lead
+// chain runs the front half once per record and the bits=6 and bits=8
+// members of the same group finish from it in turn, each of which must
+// match that member's own classic run exactly (so no finish may disturb
+// the shared front half). group builds one chain per resolution, the way
+// a batch evaluation builds a group.
+func checkSessionBitIdentical(t *testing.T, cfg Common, samples int, group func(bits ...int) []gridChain) {
+	t.Helper()
+	grid := gridFor(cfg, samples)
+	records := [][]float64{grid[:len(grid)/2], grid[len(grid)/2:]}
+	if len(records[0]) == 0 {
+		t.Fatal("empty test record")
+	}
+
+	classic, fast := group(7)[0], group(7)[0]
+	sess := NewEvalSession(cfg.Seed)
+	var dst []float64
+	for ri, rec := range records {
+		got := fast.FinishSession(sess, fast.FrontSession(sess, rec), dst)
+		dst = got.Samples
+		requireSameOutput(t, fmt.Sprintf("record %d", ri), got, classic.RunGrid(rec))
+	}
+
+	classics := []gridChain{group(6)[0], group(8)[0]}
+	members := group(7, 6, 8)
+	sess2 := NewEvalSession(cfg.Seed)
+	dsts := make([][]float64, len(classics))
+	for ri, rec := range records {
+		front := members[0].FrontSession(sess2, rec)
+		for j, classic := range classics {
+			got := members[j+1].FinishSession(sess2, front, dsts[j])
+			dsts[j] = got.Samples
+			requireSameOutput(t, fmt.Sprintf("grouped record %d member %d", ri, j), got, classic.RunGrid(rec))
+		}
+	}
+}
+
 func TestBaselineSessionBitIdentical(t *testing.T) {
 	cfg := testCommon(7, 4e-6, 11)
-	grid := gridFor(cfg, 4096)
-	records := [][]float64{grid[:len(grid)/2], grid[len(grid)/2:]}
-
-	classic := NewBaseline(cfg)
-	fast := NewBaseline(cfg)
-	sess := NewEvalSession(cfg.Seed)
-	var dst []float64
-	for ri, rec := range records {
-		want := classic.RunGrid(rec)
-		got := fast.RunGridSession(sess, rec, dst)
-		dst = got.Samples
-		if len(got.Samples) != len(want.Samples) {
-			t.Fatalf("record %d: length %d != %d", ri, len(got.Samples), len(want.Samples))
+	checkSessionBitIdentical(t, cfg, 4096, func(bits ...int) []gridChain {
+		out := make([]gridChain, len(bits))
+		for i, b := range bits {
+			c := cfg
+			c.Bits = b
+			out[i] = NewBaseline(c)
 		}
-		for i := range want.Samples {
-			if got.Samples[i] != want.Samples[i] {
-				t.Fatalf("record %d sample %d: %v != %v", ri, i, got.Samples[i], want.Samples[i])
-			}
-		}
-		if got.Power.Total() != want.Power.Total() || got.AreaCaps != want.AreaCaps {
-			t.Fatalf("record %d: power/area mismatch", ri)
-		}
-	}
+		return out
+	})
 }
 
-// TestCSSessionBitIdentical does the same for the CS chain, including the
-// grouped form: measurements encoded once by a "lead" chain and finished
-// through another design point's converter must match that point's own
-// classic run exactly (the encoder realisation is resolution-independent).
 func TestCSSessionBitIdentical(t *testing.T) {
-	mk := func(bits int) *CSChain {
-		return NewCS(CSConfig{Common: testCommon(bits, 3e-6, 12), M: 96, NPhi: 256})
-	}
 	cfg := testCommon(7, 3e-6, 12)
-	grid := gridFor(cfg, 6144)
-	records := [][]float64{grid[:len(grid)/2], grid[len(grid)/2:]}
+	checkSessionBitIdentical(t, cfg, 6144, func(bits ...int) []gridChain {
+		out := make([]gridChain, len(bits))
+		for i, b := range bits {
+			c := cfg
+			c.Bits = b
+			out[i] = NewCS(CSConfig{Common: c, M: 96, NPhi: 256})
+		}
+		return out
+	})
+}
 
-	// Whole-run session path, bits = 7.
-	classic, fast := mk(7), mk(7)
-	sess := NewEvalSession(cfg.Seed)
-	var dst []float64
-	for ri, rec := range records {
-		want := classic.RunGrid(rec)
-		got := fast.RunGridSession(sess, rec, dst)
-		dst = got.Samples
-		if len(got.Samples) != len(want.Samples) {
-			t.Fatalf("record %d: length %d != %d", ri, len(got.Samples), len(want.Samples))
+func TestDigitalCSSessionBitIdentical(t *testing.T) {
+	cfg := testCommon(7, 3e-6, 13)
+	checkSessionBitIdentical(t, cfg, 6144, func(bits ...int) []gridChain {
+		var out []gridChain
+		for _, d := range NewDigitalCSGroup(CSConfig{Common: cfg, M: 96, NPhi: 256}, bits) {
+			out = append(out, d)
 		}
-		for i := range want.Samples {
-			if got.Samples[i] != want.Samples[i] {
-				t.Fatalf("record %d sample %d: %v != %v", ri, i, got.Samples[i], want.Samples[i])
-			}
-		}
-		if got.Power.Total() != want.Power.Total() {
-			t.Fatalf("record %d: power mismatch", ri)
-		}
-	}
+		return out
+	})
+}
 
-	// Grouped path: lead encodes, a bits=6 member finishes.
-	classic6, lead, member6 := mk(6), mk(7), mk(6)
-	sess2 := NewEvalSession(cfg.Seed)
-	var dst2 []float64
-	for ri, rec := range records {
-		want := classic6.RunGrid(rec)
-		y := lead.EncodeSession(sess2, rec)
-		got := member6.FinishSession(sess2, y, dst2)
-		dst2 = got.Samples
-		for i := range want.Samples {
-			if got.Samples[i] != want.Samples[i] {
-				t.Fatalf("grouped record %d sample %d: %v != %v", ri, i, got.Samples[i], want.Samples[i])
-			}
+func TestActiveCSSessionBitIdentical(t *testing.T) {
+	cfg := testCommon(7, 3e-6, 14)
+	checkSessionBitIdentical(t, cfg, 6144, func(bits ...int) []gridChain {
+		var out []gridChain
+		for _, a := range NewActiveCSGroup(CSConfig{Common: cfg, M: 96, NPhi: 256}, bits) {
+			out = append(out, a)
 		}
-		if got.Power.Total() != want.Power.Total() {
-			t.Fatalf("grouped record %d: power mismatch", ri)
-		}
-	}
+		return out
+	})
 }
 
 // TestSessionNoiseBankMatchesDerivedStream pins the replay identity the

@@ -20,62 +20,50 @@ import (
 // the full Nyquist rate → digital y = Φ·x → reduced-rate transmitter. It
 // saves transmission energy like the analog CS chain but pays the full
 // ADC/S&H power and a MAC unit — the trade the paper's Table I literature
-// ([2], [12]) analyses.
+// ([2], [12]) analyses. Its front half is exactly the Fig 1a chain, so it
+// embeds a Baseline for the LNA, sample & hold and SAR.
 type DigitalCS struct {
-	cfg       CSConfig
-	gain      float64
-	sampleCap float64
-	phi       *cs.SRBM
-	sar       *adc.SAR
-	lna       *blocks.LNA
-	rec       *cs.Reconstructor
-	accBits   int
+	*Baseline
+	cfg     CSConfig
+	phi     *cs.SRBM
+	rec     *cs.Reconstructor
+	accBits int
 }
 
 // NewDigitalCS builds the digital CS chain. It panics if M is not set.
 func NewDigitalCS(cfg CSConfig) *DigitalCS {
+	return NewDigitalCSGroup(cfg, []int{cfg.Bits})[0]
+}
+
+// NewDigitalCSGroup builds one digital CS chain per ADC resolution in
+// bits, each otherwise configured by cfg (whose Bits is ignored). Neither
+// the sensing matrix nor the reconstructor depends on the resolution, so
+// the chains share one of each: a batch group pays for the OMP dictionary
+// and its Gram matrix once. It panics if M is not set.
+func NewDigitalCSGroup(cfg CSConfig, bits []int) []*DigitalCS {
+	common := cfg.Common
 	cfg = cfg.withDefaults()
 	if cfg.M <= 0 || cfg.M > cfg.NPhi {
 		panic("chain: digital CS requires 0 < M <= NPhi")
 	}
-	gain := cfg.Headroom * (cfg.Sys.VFS / 2) / cfg.InputPeak
-	sampleCap := power.MinSampleCap(cfg.Tech, cfg.Sys, cfg.Bits)
-	lsb := cfg.Sys.VFS / math.Pow(2, float64(cfg.Bits))
 	phi := cs.GenerateSRBM(cfg.M, cfg.NPhi, cfg.Sparsity, cfg.Seed)
-	maxCount := 0
-	for _, k := range phi.RowCounts() {
-		if k > maxCount {
-			maxCount = k
+	maxCount := maxRowCount(phi)
+	rec := cs.NewMatrixReconstructor(phi.Dense(), cfg.NPhi, cfg.MaxAtoms, 1e-4)
+	out := make([]*DigitalCS, len(bits))
+	for i, b := range bits {
+		common.Bits = b
+		c := cfg
+		c.Bits = b
+		out[i] = &DigitalCS{
+			Baseline: NewBaseline(common),
+			cfg:      c,
+			phi:      phi,
+			rec:      rec,
+			accBits:  power.AccumulatorBits(b, maxCount),
 		}
 	}
-	d := &DigitalCS{
-		cfg:       cfg,
-		gain:      gain,
-		sampleCap: sampleCap,
-		phi:       phi,
-		accBits:   power.AccumulatorBits(cfg.Bits, maxCount),
-		sar: adc.New(adc.Config{
-			Bits:            cfg.Bits,
-			VFS:             cfg.Sys.VFS,
-			UnitCap:         cfg.Tech.CUnitMin,
-			MismatchCoeff:   cfg.Tech.MismatchSigma(cfg.Tech.CUnitMin),
-			ComparatorNoise: cfg.ComparatorNoiseLSB * lsb,
-			Seed:            cfg.Seed,
-		}),
-		lna: &blocks.LNA{
-			Gain:         gain,
-			NoiseRMS:     cfg.LNANoise,
-			Bandwidth:    cfg.Sys.LNABandwidth(),
-			HD3FullScale: 0.001,
-			ClipLevel:    cfg.Sys.VFS / 2,
-		},
-	}
-	d.rec = cs.NewMatrixReconstructor(phi.Dense(), cfg.NPhi, cfg.MaxAtoms, 1e-4)
-	return d
+	return out
 }
-
-// Gain returns the LNA gain.
-func (d *DigitalCS) Gain() float64 { return d.gain }
 
 // Run processes an electrode-scale waveform.
 func (d *DigitalCS) Run(input []float64, inputRate float64) Output {
@@ -84,22 +72,28 @@ func (d *DigitalCS) Run(input []float64, inputRate float64) Output {
 
 // RunGrid is Run for a grid-rate input.
 func (d *DigitalCS) RunGrid(grid []float64) Output {
-	cfg := d.cfg
-	ctx := blocks.NewContext(cfg.GridRate(), cfg.Seed)
-	amplified := d.lna.Process(ctx, grid)
-	sh := &blocks.SampleHold{
-		Decimation:  cfg.SimOversample,
-		Cap:         d.sampleCap,
-		Temperature: cfg.Tech.Temperature,
-	}
-	held := sh.Sample(ctx, amplified)
-	digital := d.sar.Convert(held)
+	digital := d.Baseline.RunGrid(grid).Samples
 	// Exact digital compression; the MAC has no analog imperfections.
 	y := cs.DigitalEncode(d.phi, digital)
-	recon := d.rec.Reconstruct(y)
+	return d.output(d.rec.Reconstruct(y), digital)
+}
+
+// FinishSession completes a digital CS run from the amplified waveform of
+// FrontSession (the embedded Baseline's LNA half): sample & hold and SAR
+// conversion through this chain's stateful converter, the MAC, then
+// sparse reconstruction into dst.
+func (d *DigitalCS) FinishSession(s *EvalSession, amplified, dst []float64) Output {
+	s.dec = d.digitize(s, amplified, s.dec)
+	s.yq = cs.DigitalEncodeInto(s.yq, d.phi, s.dec)
+	return d.output(d.rec.ReconstructInto(dst, s.yq, &s.rs), s.dec)
+}
+
+// output wraps a reconstruction with the power of the Nyquist-rate
+// conversion that fed it.
+func (d *DigitalCS) output(recon, digital []float64) Output {
 	return Output{
 		Samples:  recon,
-		Rate:     cfg.Sys.FSample(),
+		Rate:     d.cfg.Sys.FSample(),
 		Gain:     d.gain,
 		Power:    d.PowerBreakdown(dsp.RMS(digital), dsp.Mean(digital)),
 		AreaCaps: d.Area(),
@@ -108,7 +102,9 @@ func (d *DigitalCS) RunGrid(grid []float64) Output {
 
 // PowerBreakdown evaluates the digital-CS power: the full Fig 1a chain at
 // Nyquist rate, plus the MAC unit and matrix shift register, with the
-// transmitter at the compressed word rate and accumulator width.
+// transmitter at the compressed word rate and accumulator width. The
+// capacitor area is the embedded Baseline's: the digital variant adds no
+// analog capacitors beyond the Fig 1a chain.
 func (d *DigitalCS) PowerBreakdown(vinRMS, vinMean float64) power.Breakdown {
 	cfg := d.cfg
 	fclk, fs := cfg.Sys.FClk(cfg.Bits), cfg.Sys.FSample()
@@ -134,13 +130,6 @@ func (d *DigitalCS) PowerBreakdown(vinRMS, vinMean float64) power.Breakdown {
 	}
 }
 
-// Area returns the capacitor area — the digital variant adds no analog
-// capacitors beyond the Fig 1a chain.
-func (d *DigitalCS) Area() float64 {
-	return power.CapCount(d.cfg.Tech,
-		power.ADCCapacitance(d.cfg.Bits, d.cfg.Tech.CUnitMin, d.sampleCap))
-}
-
 // ActiveCS is the active analog CS chain: one OTA integrator per
 // measurement row performs exact accumulation (scaled by 1/maxCount to
 // stay in range), then the reduced-rate SAR digitises the integrator
@@ -160,65 +149,58 @@ type ActiveCS struct {
 
 // NewActiveCS builds the active CS chain. It panics if M is not set.
 func NewActiveCS(cfg CSConfig) *ActiveCS {
+	return NewActiveCSGroup(cfg, []int{cfg.Bits})[0]
+}
+
+// NewActiveCSGroup builds one active CS chain per ADC resolution in bits,
+// each otherwise configured by cfg (whose Bits is ignored). The sensing
+// matrix, integrator scaling and reconstructor do not depend on the
+// resolution, so the chains share one reconstructor; each keeps its own
+// encoder noise stream and converter. It panics if M is not set.
+func NewActiveCSGroup(cfg CSConfig, bits []int) []*ActiveCS {
 	cfg = cfg.withDefaults()
 	if cfg.M <= 0 || cfg.M > cfg.NPhi {
 		panic("chain: active CS requires 0 < M <= NPhi")
 	}
-	gain := cfg.Headroom * (cfg.Sys.VFS / 2) / cfg.InputPeak
 	phi := cs.GenerateSRBM(cfg.M, cfg.NPhi, cfg.Sparsity, cfg.Seed)
-	maxCount := 0
-	for _, k := range phi.RowCounts() {
-		if k > maxCount {
-			maxCount = k
-		}
-	}
-	if maxCount < 1 {
-		maxCount = 1
-	}
+	maxCount := max(maxRowCount(phi), 1)
 	// Sampling kT/C of the integrator input capacitor (C_int/CRatio).
 	csIn := cfg.CHold / cfg.CRatio
 	otaNoise := math.Sqrt(cfg.Tech.KT() / csIn)
 	const finiteGain = 1e-3 // 60 dB OTA: per-step loss 1/A0
-	enc := cs.NewActiveEncoder(cs.ActiveEncoderConfig{
+	encCfg := cs.ActiveEncoderConfig{
 		Phi:       phi,
 		OTANoise:  otaNoise,
 		GainError: finiteGain,
 		Seed:      cfg.Seed,
-	})
+	}
 	intGain := 1 / float64(maxCount)
 	// Reconstruction knows the nominal (scaled, finite-gain) map.
-	a := enc.EffectiveMatrix()
+	a := cs.NewActiveEncoder(encCfg).EffectiveMatrix()
 	for i := range a {
 		for j := range a[i] {
 			a[i][j] *= intGain
 		}
 	}
-	lsb := cfg.Sys.VFS / math.Pow(2, float64(cfg.Bits))
-	c := &ActiveCS{
-		cfg:      cfg,
-		gain:     gain,
-		intGain:  intGain,
-		otaNoise: otaNoise,
-		enc:      enc,
-		rec:      cs.NewMatrixReconstructor(a, cfg.NPhi, cfg.MaxAtoms, 1e-4),
-		maxCount: maxCount,
-		sar: adc.New(adc.Config{
-			Bits:            cfg.Bits,
-			VFS:             cfg.Sys.VFS,
-			UnitCap:         cfg.Tech.CUnitMin,
-			MismatchCoeff:   cfg.Tech.MismatchSigma(cfg.Tech.CUnitMin),
-			ComparatorNoise: cfg.ComparatorNoiseLSB * lsb,
-			Seed:            cfg.Seed,
-		}),
-		lna: &blocks.LNA{
-			Gain:         gain,
-			NoiseRMS:     cfg.LNANoise,
-			Bandwidth:    cfg.Sys.LNABandwidth(),
-			HD3FullScale: 0.001,
-			ClipLevel:    cfg.Sys.VFS / 2,
-		},
+	rec := cs.NewMatrixReconstructor(a, cfg.NPhi, cfg.MaxAtoms, 1e-4)
+	gain := cfg.lnaGain()
+	out := make([]*ActiveCS, len(bits))
+	for i, b := range bits {
+		c := cfg
+		c.Bits = b
+		out[i] = &ActiveCS{
+			cfg:      c,
+			gain:     gain,
+			intGain:  intGain,
+			otaNoise: otaNoise,
+			enc:      cs.NewActiveEncoder(encCfg),
+			rec:      rec,
+			maxCount: maxCount,
+			sar:      newSAR(c.Common, c.Sys.VFS),
+			lna:      newLNA(c.Common, gain),
+		}
 	}
-	return c
+	return out
 }
 
 // Gain returns the LNA gain.
@@ -243,10 +225,34 @@ func (c *ActiveCS) RunGrid(grid []float64) Output {
 	y := c.enc.Encode(sampled)
 	dsp.Scale(y, c.intGain)
 	yq := c.sar.Convert(y)
-	recon := c.rec.Reconstruct(yq)
+	return c.output(c.rec.Reconstruct(yq), yq)
+}
+
+// FrontSession runs the active CS front half — LNA, ideal decimation, the
+// integrator bank and its 1/maxCount scale — over one grid record. The
+// scale is applied here, once, so the measurements every member of a
+// batch group finishes from are already in converter range.
+func (c *ActiveCS) FrontSession(s *EvalSession, grid []float64) []float64 {
+	sampled := s.decimate(s.lnaProcess(c.lna, c.cfg.GridRate(), grid), c.cfg.SimOversample)
+	s.y = c.enc.EncodeInto(s.y, sampled)
+	dsp.Scale(s.y, c.intGain)
+	return s.y
+}
+
+// FinishSession completes an active CS run from a measurement vector: SAR
+// conversion through this chain's stateful converter, then sparse
+// reconstruction into dst.
+func (c *ActiveCS) FinishSession(s *EvalSession, y, dst []float64) Output {
+	s.yq = c.sar.ConvertInto(s.yq, y)
+	return c.output(c.rec.ReconstructInto(dst, s.yq, &s.rs), s.yq)
+}
+
+// output wraps a reconstruction with the power of the measurement
+// conversion that fed it.
+func (c *ActiveCS) output(recon, yq []float64) Output {
 	return Output{
 		Samples:  recon,
-		Rate:     cfg.Sys.FSample(),
+		Rate:     c.cfg.Sys.FSample(),
 		Gain:     c.gain,
 		Power:    c.PowerBreakdown(dsp.RMS(yq), dsp.Mean(yq)),
 		AreaCaps: c.Area(),

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"efficsense/internal/chain"
 	"efficsense/internal/dsp"
@@ -58,10 +59,11 @@ func (a *pointAccum) add(e *Evaluator, ri int, o chain.Output) {
 
 // EvaluateBatch scores a batch of design points over every record and
 // returns one Result per point, in input order. Results are bit-identical
-// to calling Evaluate per point; the batch form exists so work that is
-// invariant across points — the amplified waveform of a noise level, the
-// encoded measurements of a CS geometry, the session noise banks and
-// scratch buffers — is paid for once per group instead of once per point.
+// to scoring each point through its chain's classic RunGrid; the batch
+// form exists so work that is invariant across points — the front half of
+// each record's chain, the reconstructor of a CS geometry, the session
+// noise banks and scratch buffers — is paid for once per group instead of
+// once per point.
 //
 // Points sharing (Arch, LNANoise, M, CHold) are grouped internally; input
 // order is otherwise irrelevant. A cancelled ctx marks the not-yet-
@@ -78,8 +80,7 @@ func (e *Evaluator) EvaluateBatch(ctx context.Context, pts []DesignPoint) []Resu
 	groups := map[DesignPoint][]int{}
 	for i, p := range pts {
 		// Points in a group differ only in ADC resolution (see
-		// DesignPoint.GroupKey), so they share every record's amplified or
-		// encoded waveform.
+		// DesignPoint.GroupKey), so they share every record's front half.
 		k := p.GroupKey()
 		if _, ok := groups[k]; !ok {
 			order = append(order, k)
@@ -94,20 +95,56 @@ func (e *Evaluator) EvaluateBatch(ctx context.Context, pts []DesignPoint) []Resu
 			}
 			continue
 		}
-		switch k.Arch {
-		case ArchBaseline:
-			e.evalBaselineGroup(sc, pts, idxs, out)
-		case ArchCS:
-			e.evalCSGroup(sc, pts, idxs, out)
-		default:
-			// The digital and active CS variants build bespoke per-point
-			// reconstructors; they take the classic path unchanged.
-			for _, i := range idxs {
-				out[i] = e.evaluateClassic(pts[i])
-			}
-		}
+		e.evalGroup(sc, pts, idxs, out)
 	}
 	return out
+}
+
+// sessionChain is a chain in its two-half session form (see
+// chain.EvalSession): FrontSession runs the resolution-independent half
+// of a record, FinishSession completes one design point from it.
+type sessionChain interface {
+	FrontSession(s *chain.EvalSession, grid []float64) []float64
+	FinishSession(s *chain.EvalSession, front, dst []float64) chain.Output
+}
+
+// groupChains builds one chain per member of a batch group, in idxs
+// order. The members differ only in ADC resolution, so the digital and
+// active CS variants build one reconstructor for the whole group (the
+// passive CS chain shares its plan through the chain package's geometry
+// cache; the baseline has nothing to share).
+func (e *Evaluator) groupChains(pts []DesignPoint, idxs []int) []sessionChain {
+	lead := pts[idxs[0]]
+	common := e.common
+	common.LNANoise = lead.LNANoise
+	chains := make([]sessionChain, len(idxs))
+	bits := make([]int, len(idxs))
+	for j, i := range idxs {
+		bits[j] = pts[i].Bits
+	}
+	switch lead.Arch {
+	case ArchBaseline:
+		for j, b := range bits {
+			common.Bits = b
+			chains[j] = chain.NewBaseline(common)
+		}
+	case ArchCS:
+		for j, b := range bits {
+			common.Bits = b
+			chains[j] = chain.NewCS(e.csConfig(common, lead))
+		}
+	case ArchCSDigital:
+		for j, c := range chain.NewDigitalCSGroup(e.csConfig(common, lead), bits) {
+			chains[j] = c
+		}
+	case ArchCSActive:
+		for j, c := range chain.NewActiveCSGroup(e.csConfig(common, lead), bits) {
+			chains[j] = c
+		}
+	default:
+		panic(fmt.Sprintf("core: unknown architecture %d", lead.Arch))
+	}
+	return chains
 }
 
 // newAccums prepares one accumulator per group member. Only the quality
@@ -151,46 +188,18 @@ func (e *Evaluator) finishAccums(accs []*pointAccum, idxs []int, out []Result) {
 	}
 }
 
-func (e *Evaluator) evalBaselineGroup(sc *evalScratch, pts []DesignPoint, idxs []int, out []Result) {
-	chains := make([]*chain.Baseline, len(idxs))
-	for j, i := range idxs {
-		common := e.common
-		common.Bits = pts[i].Bits
-		common.LNANoise = pts[i].LNANoise
-		chains[j] = chain.NewBaseline(common)
-	}
+// evalGroup scores one batch group. The front half of each record's chain
+// is resolution-independent, so the lead chain computes it once and every
+// member finishes from it through its own stateful converter, in record
+// order — exactly the stream consumption of a per-point run.
+func (e *Evaluator) evalGroup(sc *evalScratch, pts []DesignPoint, idxs []int, out []Result) {
+	chains := e.groupChains(pts, idxs)
 	accs, rowsPer := e.newAccums(pts, idxs)
 	for ri, grid := range e.grids {
-		// The LNA settings are identical across the group, so the lead
-		// chain's amplified waveform serves every member.
-		amplified := chains[0].AmplifySession(sc.sess, grid)
+		front := chains[0].FrontSession(sc.sess, grid)
 		for j, c := range chains {
 			slot := j*rowsPer + ri%rowsPer
-			o := c.DigitizeSession(sc.sess, amplified, sc.row(slot))
-			sc.rows[slot] = o.Samples
-			accs[j].add(e, ri, o)
-		}
-	}
-	e.finishAccums(accs, idxs, out)
-}
-
-func (e *Evaluator) evalCSGroup(sc *evalScratch, pts []DesignPoint, idxs []int, out []Result) {
-	chains := make([]*chain.CSChain, len(idxs))
-	for j, i := range idxs {
-		common := e.common
-		common.Bits = pts[i].Bits
-		common.LNANoise = pts[i].LNANoise
-		chains[j] = chain.NewCS(e.csConfig(common, pts[i]))
-	}
-	accs, rowsPer := e.newAccums(pts, idxs)
-	for ri, grid := range e.grids {
-		// The encoder realisation is resolution-independent, so the lead
-		// chain's measurement vector serves every member; each member's
-		// own stateful SAR converts it.
-		y := chains[0].EncodeSession(sc.sess, grid)
-		for j, c := range chains {
-			slot := j*rowsPer + ri%rowsPer
-			o := c.FinishSession(sc.sess, y, sc.row(slot))
+			o := c.FinishSession(sc.sess, front, sc.row(slot))
 			sc.rows[slot] = o.Samples
 			accs[j].add(e, ri, o)
 		}

@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"efficsense/internal/classify"
@@ -53,8 +56,9 @@ func requireIdentical(t *testing.T, label string, got, want Result) {
 }
 
 // goldenPoints is a seeded sweep slice covering every architecture, mixed
-// resolutions and noise floors, and two CS geometries — so grouping,
-// group sharing and the classic fallback are all exercised.
+// resolutions and noise floors, and two CS geometries — so grouping and
+// group sharing are exercised for all four architectures, each variant
+// with a full bits {6,7,8} group.
 func goldenPoints() []DesignPoint {
 	return []DesignPoint{
 		{Arch: ArchCS, Bits: 6, LNANoise: 3e-6, M: 96},
@@ -64,7 +68,11 @@ func goldenPoints() []DesignPoint {
 		{Arch: ArchBaseline, Bits: 6, LNANoise: 3e-6},
 		{Arch: ArchCS, Bits: 7, LNANoise: 3e-6, M: 128},
 		{Arch: ArchCSDigital, Bits: 7, LNANoise: 3e-6, M: 96},
+		{Arch: ArchCSActive, Bits: 8, LNANoise: 3e-6, M: 96},
+		{Arch: ArchCSDigital, Bits: 6, LNANoise: 3e-6, M: 96},
 		{Arch: ArchCSActive, Bits: 7, LNANoise: 3e-6, M: 96},
+		{Arch: ArchCSDigital, Bits: 8, LNANoise: 3e-6, M: 96},
+		{Arch: ArchCSActive, Bits: 6, LNANoise: 3e-6, M: 96},
 		{Arch: ArchCS, Bits: 7, LNANoise: 3e-6, M: 96, CHold: 120e-15},
 	}
 }
@@ -106,5 +114,69 @@ func TestEvaluateBatchContextCancel(t *testing.T) {
 		if r.TotalPower != 0 {
 			t.Fatalf("result %d: partial figures alongside error", i)
 		}
+	}
+}
+
+// TestEvaluateBatchConcurrentVariants runs overlapping digital and active
+// CS groups through EvaluateBatch from several goroutines at once: the
+// shared per-group reconstructors and the pooled sessions must leave
+// every result equal to a serial run.
+func TestEvaluateBatchConcurrentVariants(t *testing.T) {
+	ev := batchTestEvaluator(t, false)
+	var pts []DesignPoint
+	for _, a := range []Architecture{ArchCSDigital, ArchCSActive} {
+		for _, bits := range []int{6, 7, 8} {
+			pts = append(pts, DesignPoint{Arch: a, Bits: bits, LNANoise: 4e-6, M: 96})
+		}
+	}
+	serial := ev.EvaluateBatch(context.Background(), pts)
+	const workers = 4
+	got := make([][]Result, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Each worker takes an overlapping window of the groups, in
+			// its own order.
+			sub := append([]DesignPoint(nil), pts[w%3:w%3+4]...)
+			if w%2 == 1 {
+				slices.Reverse(sub)
+			}
+			got[w] = ev.EvaluateBatch(context.Background(), sub)
+		}(w)
+	}
+	wg.Wait()
+	for w, rs := range got {
+		for _, r := range rs {
+			want := serial[slices.IndexFunc(pts, func(p DesignPoint) bool { return p == r.Point })]
+			requireIdentical(t, fmt.Sprintf("worker %d %v", w, r.Point), r, want)
+		}
+	}
+}
+
+var benchSink []Result
+
+// BenchmarkEvaluateBatchArch measures batch evaluation per architecture:
+// one group of three resolutions over fixed records, in points/s.
+func BenchmarkEvaluateBatchArch(b *testing.B) {
+	ev := batchTestEvaluator(b, false)
+	for _, a := range Architectures() {
+		b.Run(a.String(), func(b *testing.B) {
+			var pts []DesignPoint
+			for _, bits := range []int{6, 7, 8} {
+				p := DesignPoint{Arch: a, Bits: bits, LNANoise: 4e-6}
+				if a != ArchBaseline {
+					p.M = 150
+				}
+				pts = append(pts, p)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = ev.EvaluateBatch(context.Background(), pts)
+			}
+			b.ReportMetric(float64(b.N*len(pts))/b.Elapsed().Seconds(), "points/s")
+		})
 	}
 }

@@ -58,8 +58,35 @@ func (e *ActiveEncoder) EncodeFrame(x []float64) []float64 {
 		panic(fmt.Sprintf("cs: EncodeFrame needs %d samples, got %d", n, len(x)))
 	}
 	v := make([]float64, e.cfg.Phi.M)
+	e.encodeFrameInto(v, x)
+	return v
+}
+
+// Encode processes whole frames, dropping a trailing partial frame.
+func (e *ActiveEncoder) Encode(x []float64) []float64 { return e.EncodeInto(nil, x) }
+
+// EncodeInto is Encode against caller-owned storage: dst is grown
+// (reallocating only when capacity is exceeded) to frames·M and fully
+// overwritten; the returned slice aliases it. Frames are integrated in
+// order through the same arithmetic as EncodeFrame, so the OTA noise
+// stream is consumed exactly as Encode consumes it.
+func (e *ActiveEncoder) EncodeInto(dst, x []float64) []float64 {
+	n, m := e.cfg.Phi.N, e.cfg.Phi.M
+	frames := len(x) / n
+	dst = growTo(dst, frames*m)
+	for f := 0; f < frames; f++ {
+		e.encodeFrameInto(dst[f*m:(f+1)*m], x[f*n:(f+1)*n])
+	}
+	return dst
+}
+
+// encodeFrameInto is EncodeFrame writing into caller storage (length M).
+func (e *ActiveEncoder) encodeFrameInto(v, x []float64) {
+	for i := range v {
+		v[i] = 0
+	}
 	keep := 1 - e.cfg.GainError
-	for j := 0; j < n; j++ {
+	for j := range x {
 		for _, row := range e.cfg.Phi.Support[j] {
 			sample := x[j]
 			if e.cfg.OTANoise > 0 {
@@ -68,18 +95,6 @@ func (e *ActiveEncoder) EncodeFrame(x []float64) []float64 {
 			v[row] = v[row]*keep + sample
 		}
 	}
-	return v
-}
-
-// Encode processes whole frames, dropping a trailing partial frame.
-func (e *ActiveEncoder) Encode(x []float64) []float64 {
-	n := e.cfg.Phi.N
-	frames := len(x) / n
-	out := make([]float64, 0, frames*e.cfg.Phi.M)
-	for f := 0; f < frames; f++ {
-		out = append(out, e.EncodeFrame(x[f*n:(f+1)*n])...)
-	}
-	return out
 }
 
 // EffectiveMatrix returns the linear map of the active encoder: the plain
@@ -106,21 +121,37 @@ func (e *ActiveEncoder) EffectiveMatrix() [][]float64 {
 // DigitalEncode computes the exact digital matrix product y = Φ·x frame by
 // frame — what the digital-CS architecture's MAC unit does after the ADC.
 // No analog imperfections apply (the samples are already quantised).
-func DigitalEncode(phi *SRBM, x []float64) []float64 {
-	n := phi.N
+func DigitalEncode(phi *SRBM, x []float64) []float64 { return DigitalEncodeInto(nil, phi, x) }
+
+// DigitalEncodeInto is DigitalEncode against caller-owned storage: dst is
+// grown (reallocating only when capacity is exceeded) to frames·M and
+// fully overwritten; the returned slice aliases it.
+func DigitalEncodeInto(dst []float64, phi *SRBM, x []float64) []float64 {
+	n, m := phi.N, phi.M
 	frames := len(x) / n
-	out := make([]float64, 0, frames*phi.M)
+	dst = growTo(dst, frames*m)
+	for i := range dst {
+		dst[i] = 0
+	}
 	for f := 0; f < frames; f++ {
-		v := make([]float64, phi.M)
+		v := dst[f*m : (f+1)*m]
 		base := f * n
 		for j := 0; j < n; j++ {
 			for _, row := range phi.Support[j] {
 				v[row] += x[base+j]
 			}
 		}
-		out = append(out, v...)
 	}
-	return out
+	return dst
+}
+
+// growTo returns v resized to n, reallocating only when capacity is
+// exceeded.
+func growTo(v []float64, n int) []float64 {
+	if cap(v) < n {
+		return make([]float64, n)
+	}
+	return v[:n]
 }
 
 // NewMatrixReconstructor builds a Reconstructor for an arbitrary effective

@@ -92,18 +92,41 @@ func NewBatchOMP(cols [][]float64) *BatchOMP {
 	b.gram = make([]float64, k*k)
 	for i := 0; i < k; i++ {
 		ci := cols[i]
-		for j := i; j < k; j++ {
+		j := i
+		// Four Gram entries at a time: each keeps its own accumulator and
+		// sums in t order, exactly as the one-at-a-time loop below, but
+		// the four independent add chains overlap instead of serialising.
+		for ; j+4 <= k; j += 4 {
+			c0, c1, c2, c3 := cols[j], cols[j+1], cols[j+2], cols[j+3]
+			var d0, d1, d2, d3 float64
+			for t, x := range ci {
+				d0 += x * c0[t]
+				d1 += x * c1[t]
+				d2 += x * c2[t]
+				d3 += x * c3[t]
+			}
+			b.setGram(i, j, d0)
+			b.setGram(i, j+1, d1)
+			b.setGram(i, j+2, d2)
+			b.setGram(i, j+3, d3)
+		}
+		for ; j < k; j++ {
 			cj := cols[j]
 			var dot float64
-			for t := range ci {
-				dot += ci[t] * cj[t]
+			for t, x := range ci {
+				dot += x * cj[t]
 			}
-			b.gram[i*k+j] = dot
-			b.gram[j*k+i] = dot
+			b.setGram(i, j, dot)
 		}
 		b.norms[i] = math.Sqrt(b.gram[i*k+i])
 	}
 	return b
+}
+
+// setGram stores the symmetric Gram entry (i, j).
+func (b *BatchOMP) setGram(i, j int, v float64) {
+	b.gram[i*b.k+j] = v
+	b.gram[j*b.k+i] = v
 }
 
 // Solve returns the sparse coefficient vector for measurement y, with the

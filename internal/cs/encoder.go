@@ -97,15 +97,7 @@ func (e *Encoder) EncodeFrame(x []float64) []float64 {
 
 // Encode processes a waveform frame by frame, dropping a trailing partial
 // frame, and returns the concatenated measurements (len = frames·M).
-func (e *Encoder) Encode(x []float64) []float64 {
-	n := e.cfg.Phi.N
-	frames := len(x) / n
-	out := make([]float64, 0, frames*e.cfg.Phi.M)
-	for f := 0; f < frames; f++ {
-		out = append(out, e.EncodeFrame(x[f*n:(f+1)*n])...)
-	}
-	return out
-}
+func (e *Encoder) Encode(x []float64) []float64 { return e.EncodeInto(nil, x) }
 
 // EncodeInto is Encode against caller-owned storage: dst is grown
 // (reallocating only when capacity is exceeded) to frames·M and fully
@@ -116,11 +108,7 @@ func (e *Encoder) EncodeInto(dst, x []float64) []float64 {
 	n := e.cfg.Phi.N
 	frames := len(x) / n
 	m := e.cfg.Phi.M
-	need := frames * m
-	if cap(dst) < need {
-		dst = make([]float64, need)
-	}
-	dst = dst[:need]
+	dst = growTo(dst, frames*m)
 	for f := 0; f < frames; f++ {
 		e.encodeFrameInto(dst[f*m:(f+1)*m], x[f*n:(f+1)*n])
 	}

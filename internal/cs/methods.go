@@ -111,15 +111,7 @@ func NewMethodReconstructor(a [][]float64, nPhi int, opts ReconOptions) *MethodR
 	r := &MethodReconstructor{opts: opts, n: nPhi, m: m, dct: dsp.NewDCT(nPhi), a: a}
 	switch opts.Method {
 	case MethodOMP, MethodIHT, MethodBOMP:
-		dict := make([][]float64, nPhi)
-		for k := 0; k < nPhi; k++ {
-			psi := r.dct.Column(k)
-			col := make([]float64, m)
-			for i := 0; i < m; i++ {
-				col[i] = dsp.Dot(a[i], psi)
-			}
-			dict[k] = col
-		}
+		dict := dictionary(a, r.dct)
 		r.dict = dict
 		// BOMP solves its own block least squares on the support; only the
 		// singleton-greedy methods need the Batch-OMP Gram machinery.

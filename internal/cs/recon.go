@@ -12,8 +12,8 @@ import (
 type Reconstructor struct {
 	n, m int
 	dct  *dsp.DCT
-	// dict[k] is column k of D = A·Ψ, length M.
-	dict     [][]float64
+	// solver keeps the D = A·Ψ dictionary (flat) and its Gram matrix; the
+	// per-column slices are needed only to build it and are not retained.
 	solver   *BatchOMP
 	maxAtoms int
 	tol      float64
@@ -53,19 +53,44 @@ func newReconstructorFromMatrix(a [][]float64, nPhi, maxAtoms int, tol float64) 
 		tol = 1e-6
 	}
 	d := dsp.NewDCT(nPhi)
-	dict := make([][]float64, nPhi)
-	for k := 0; k < nPhi; k++ {
+	dict := dictionary(a, d)
+	return &Reconstructor{
+		n: nPhi, m: m, dct: d,
+		solver: NewBatchOMP(dict), maxAtoms: maxAtoms, tol: tol,
+	}
+}
+
+// dictionary returns the columns of D = A·Ψ for the orthonormal DCT Ψ:
+// dict[k][i] = Σ_t A[i][t]·Ψ_k[t]. Effective CS matrices are sparse (a
+// row holds only the samples routed to it), so each row's non-zero
+// entries are gathered once and the sums run over them alone, in
+// ascending t. A skipped zero entry would add ±0 to a running sum that
+// starts at +0 and can never become -0, which leaves the sum unchanged
+// bit for bit, so every entry equals the dense dsp.Dot(A[i], Ψ_k).
+func dictionary(a [][]float64, d *dsp.DCT) [][]float64 {
+	nz := make([][]int, len(a))
+	for i, row := range a {
+		for t, v := range row {
+			if v != 0 {
+				nz[i] = append(nz[i], t)
+			}
+		}
+	}
+	dict := make([][]float64, len(a[0]))
+	for k := range dict {
 		psi := d.Column(k)
-		col := make([]float64, m)
-		for i := 0; i < m; i++ {
-			col[i] = dsp.Dot(a[i], psi)
+		col := make([]float64, len(a))
+		for i, idx := range nz {
+			row := a[i]
+			var s float64
+			for _, t := range idx {
+				s += row[t] * psi[t]
+			}
+			col[i] = s
 		}
 		dict[k] = col
 	}
-	return &Reconstructor{
-		n: nPhi, m: m, dct: d, dict: dict,
-		solver: NewBatchOMP(dict), maxAtoms: maxAtoms, tol: tol,
-	}
+	return dict
 }
 
 // FrameLen returns N_Φ.
@@ -110,15 +135,9 @@ type ReconScratch struct {
 // goroutines concurrently as long as each brings its own ReconScratch.
 func (r *Reconstructor) ReconstructInto(dst, y []float64, sc *ReconScratch) []float64 {
 	frames := len(y) / r.m
-	need := frames * r.n
-	if cap(dst) < need {
-		dst = make([]float64, need)
-	}
-	dst = dst[:need]
-	if cap(sc.theta) < r.n {
-		sc.theta = make([]float64, r.n)
-	}
-	theta := sc.theta[:r.n]
+	dst = growTo(dst, frames*r.n)
+	sc.theta = growTo(sc.theta, r.n)
+	theta := sc.theta
 	for f := 0; f < frames; f++ {
 		r.solver.SolveInto(theta, y[f*r.m:(f+1)*r.m], r.maxAtoms, r.tol, &sc.omp)
 		r.dct.InverseInto(dst[f*r.n:(f+1)*r.n], theta)
