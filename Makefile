@@ -13,14 +13,17 @@ race:
 
 # bench writes a machine-readable baseline (BENCH_PR10.json, ignored by
 # git) for the hot paths: the obs histogram, the sweep engine, the HTTP
-# serving stack, batch evaluation per architecture
-# (BenchmarkEvaluateBatchArch, points/s) and the headline cold-sweep
-# throughput benchmark (BenchmarkSweepColdCS, points/s). -count=6 gives
-# benchstat enough samples to call a regression; the target is
-# informational, not a gate.
+# serving stack, the OMP reconstruction layer (BenchmarkBatchOMPSolve and
+# BenchmarkReconstructInto/{omp,bomp}, ns/frame and allocs/op), batch
+# evaluation per architecture (BenchmarkEvaluateBatchArch, points/s) and
+# the headline cold-sweep throughput benchmark (BenchmarkSweepColdCS,
+# points/s). -count=6 gives benchstat enough samples to call a
+# regression; the target is informational, not a gate.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -count=6 -json \
 		./internal/obs ./internal/dse ./internal/serve > BENCH_PR10.json
+	$(GO) test -run '^$$' -bench 'BatchOMPSolve|ReconstructInto' -benchmem -count=6 -json \
+		./internal/cs >> BENCH_PR10.json
 	$(GO) test -run '^$$' -bench 'EvaluateBatchArch' -benchmem -count=6 -json \
 		./internal/core >> BENCH_PR10.json
 	$(GO) test -run '^$$' -bench 'SweepColdCS' -benchmem -count=6 -json \

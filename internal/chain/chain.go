@@ -215,9 +215,9 @@ type CSConfig struct {
 	CRatio float64
 	// MaxAtoms bounds the OMP support per frame (default M/4).
 	MaxAtoms int
-	// ReconMethod selects the reconstruction algorithm (OMP default; IHT
-	// and ridge available — the "choice of reconstruction" degree of
-	// freedom the paper lists in Section I).
+	// ReconMethod selects the reconstruction algorithm of every CS chain
+	// (OMP default; IHT, ridge and block-OMP available — the "choice of
+	// reconstruction" degree of freedom the paper lists in Section I).
 	ReconMethod cs.Method
 	// ModelLeakage enables hold-capacitor droop at the technology leakage
 	// current in the behavioural model. The paper carries I_leak only in
@@ -250,10 +250,16 @@ func (c CSConfig) withDefaults() CSConfig {
 	return c
 }
 
-// reconstructor abstracts the per-frame recovery backends (the default
-// Batch-OMP Reconstructor and the method-selectable MethodReconstructor).
-type reconstructor interface {
-	Reconstruct(y []float64) []float64
+// reconTol is the relative residual-energy stop of every CS chain's
+// sparse recovery.
+const reconTol = 1e-4
+
+// newReconstructor builds the recovery every CS chain runs on its nominal
+// effective matrix a, with the configured method and atom budget.
+func (c CSConfig) newReconstructor(a [][]float64) *cs.MethodReconstructor {
+	return cs.NewMethodReconstructor(a, c.NPhi, cs.ReconOptions{
+		Method: c.ReconMethod, MaxAtoms: c.MaxAtoms, Tol: reconTol,
+	})
 }
 
 // CSChain is the compressive-sensing chain of Fig 1b.
@@ -263,7 +269,7 @@ type CSChain struct {
 	vfsCS   float64 // scaled measurement-converter reference
 	csample float64
 	enc     *cs.Encoder
-	rec     reconstructor
+	rec     *cs.MethodReconstructor
 	sar     *adc.SAR
 	lna     *blocks.LNA
 }
@@ -346,10 +352,15 @@ func (c *CSChain) RunGrid(grid []float64) Output {
 	sampled := dsp.Decimate(amplified, cfg.SimOversample)
 	y := c.enc.Encode(sampled)
 	yq := c.sar.Convert(y)
-	recon := c.rec.Reconstruct(yq)
+	return c.output(c.rec.Reconstruct(yq), yq)
+}
+
+// output wraps a reconstruction with the power of the measurement
+// conversion that fed it.
+func (c *CSChain) output(recon, yq []float64) Output {
 	return Output{
 		Samples:  recon,
-		Rate:     cfg.Sys.FSample(),
+		Rate:     c.cfg.Sys.FSample(),
 		Gain:     c.gain,
 		Power:    c.PowerBreakdown(dsp.RMS(yq), dsp.Mean(yq)),
 		AreaCaps: c.Area(),

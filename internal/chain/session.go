@@ -222,12 +222,6 @@ func (b *Baseline) digitize(s *EvalSession, amplified, dst []float64) []float64 
 	return b.sar.ConvertInto(dst, dst)
 }
 
-// reconstructorInto is the optional allocation-free recovery fast path
-// (implemented by the Batch-OMP Reconstructor).
-type reconstructorInto interface {
-	ReconstructInto(dst, y []float64, sc *cs.ReconScratch) []float64
-}
-
 // FrontSession runs the CS front half — LNA, ideal decimation, the
 // charge-sharing encoder — over one grid record. The encoder realisation
 // depends only on (geometry, seed), never on the ADC resolution.
@@ -249,22 +243,8 @@ func (c *CSChain) EncodeSession(s *EvalSession, grid []float64) []float64 {
 // conversion through this chain's stateful converter, then sparse
 // reconstruction into dst.
 func (c *CSChain) FinishSession(s *EvalSession, y, dst []float64) Output {
-	cfg := c.cfg
 	s.yq = c.sar.ConvertInto(s.yq, y)
-	yq := s.yq
-	var recon []float64
-	if ri, ok := c.rec.(reconstructorInto); ok {
-		recon = ri.ReconstructInto(dst, yq, &s.rs)
-	} else {
-		recon = c.rec.Reconstruct(yq)
-	}
-	return Output{
-		Samples:  recon,
-		Rate:     cfg.Sys.FSample(),
-		Gain:     c.gain,
-		Power:    c.PowerBreakdown(dsp.RMS(yq), dsp.Mean(yq)),
-		AreaCaps: c.Area(),
-	}
+	return c.output(c.rec.ReconstructInto(dst, s.yq, &s.rs), s.yq)
 }
 
 // maxRowCount returns the busiest measurement row's share count, which
@@ -292,11 +272,11 @@ type csPlanKey struct {
 // csPlan is the shared, read-only planning product: the sensing matrix,
 // the busiest-row count (which sets the measurement-range scaling) and
 // the reconstructor with its precomputed dictionary/Gram/Cholesky state.
-// All of it is safe for concurrent use — the reconstructors take
+// All of it is safe for concurrent use — the reconstructor takes
 // per-caller scratch.
 type csPlan struct {
 	phi      *cs.SRBM
-	rec      reconstructor
+	rec      *cs.MethodReconstructor
 	maxCount int
 }
 
@@ -330,17 +310,7 @@ func planForCS(cfg CSConfig, csample float64) *csPlan {
 	// produce identical read-only plans; one wins the map slot).
 	phi := cs.GenerateSRBM(cfg.M, cfg.NPhi, cfg.Sparsity, cfg.Seed)
 	maxCount := maxRowCount(phi)
-	a := cs.NominalEffectiveMatrix(phi, csample, cfg.CHold)
-	var rec reconstructor
-	if cfg.ReconMethod == cs.MethodOMP {
-		rec = cs.NewMatrixReconstructor(a, cfg.NPhi, cfg.MaxAtoms, 1e-4)
-	} else {
-		rec = cs.NewMethodReconstructor(a, cfg.NPhi, cs.ReconOptions{
-			Method:   cfg.ReconMethod,
-			MaxAtoms: cfg.MaxAtoms,
-			Tol:      1e-4,
-		})
-	}
+	rec := cfg.newReconstructor(cs.NominalEffectiveMatrix(phi, csample, cfg.CHold))
 	p := &csPlan{phi: phi, rec: rec, maxCount: maxCount}
 	csPlanMu.Lock()
 	if prior, ok := csPlans[key]; ok {

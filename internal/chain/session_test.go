@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"efficsense/internal/cs"
 	"efficsense/internal/dsp"
 	"efficsense/internal/xrand"
 )
@@ -88,17 +89,23 @@ func TestBaselineSessionBitIdentical(t *testing.T) {
 	})
 }
 
+// TestCSSessionBitIdentical covers the passive chain with OMP (the EEG
+// recovery) and block-OMP (the ECG one).
 func TestCSSessionBitIdentical(t *testing.T) {
 	cfg := testCommon(7, 3e-6, 12)
-	checkSessionBitIdentical(t, cfg, 6144, func(bits ...int) []gridChain {
-		out := make([]gridChain, len(bits))
-		for i, b := range bits {
-			c := cfg
-			c.Bits = b
-			out[i] = NewCS(CSConfig{Common: c, M: 96, NPhi: 256})
-		}
-		return out
-	})
+	for _, method := range []cs.Method{cs.MethodOMP, cs.MethodBOMP} {
+		t.Run(method.String(), func(t *testing.T) {
+			checkSessionBitIdentical(t, cfg, 6144, func(bits ...int) []gridChain {
+				out := make([]gridChain, len(bits))
+				for i, b := range bits {
+					c := cfg
+					c.Bits = b
+					out[i] = NewCS(CSConfig{Common: c, M: 96, NPhi: 256, ReconMethod: method})
+				}
+				return out
+			})
+		})
+	}
 }
 
 func TestDigitalCSSessionBitIdentical(t *testing.T) {

@@ -26,7 +26,7 @@ type DigitalCS struct {
 	*Baseline
 	cfg     CSConfig
 	phi     *cs.SRBM
-	rec     *cs.Reconstructor
+	rec     *cs.MethodReconstructor
 	accBits int
 }
 
@@ -38,8 +38,8 @@ func NewDigitalCS(cfg CSConfig) *DigitalCS {
 // NewDigitalCSGroup builds one digital CS chain per ADC resolution in
 // bits, each otherwise configured by cfg (whose Bits is ignored). Neither
 // the sensing matrix nor the reconstructor depends on the resolution, so
-// the chains share one of each: a batch group pays for the OMP dictionary
-// and its Gram matrix once. It panics if M is not set.
+// the chains share one of each: a batch group pays for the reconstruction
+// dictionary once. It panics if M is not set.
 func NewDigitalCSGroup(cfg CSConfig, bits []int) []*DigitalCS {
 	common := cfg.Common
 	cfg = cfg.withDefaults()
@@ -48,7 +48,7 @@ func NewDigitalCSGroup(cfg CSConfig, bits []int) []*DigitalCS {
 	}
 	phi := cs.GenerateSRBM(cfg.M, cfg.NPhi, cfg.Sparsity, cfg.Seed)
 	maxCount := maxRowCount(phi)
-	rec := cs.NewMatrixReconstructor(phi.Dense(), cfg.NPhi, cfg.MaxAtoms, 1e-4)
+	rec := cfg.newReconstructor(phi.Dense())
 	out := make([]*DigitalCS, len(bits))
 	for i, b := range bits {
 		common.Bits = b
@@ -141,7 +141,7 @@ type ActiveCS struct {
 	intGain  float64 // integrator scale Cs/Cint, sized for the busiest row
 	otaNoise float64
 	enc      *cs.ActiveEncoder
-	rec      *cs.Reconstructor
+	rec      *cs.MethodReconstructor
 	sar      *adc.SAR
 	lna      *blocks.LNA
 	maxCount int
@@ -182,7 +182,7 @@ func NewActiveCSGroup(cfg CSConfig, bits []int) []*ActiveCS {
 			a[i][j] *= intGain
 		}
 	}
-	rec := cs.NewMatrixReconstructor(a, cfg.NPhi, cfg.MaxAtoms, 1e-4)
+	rec := cfg.newReconstructor(a)
 	gain := cfg.lnaGain()
 	out := make([]*ActiveCS, len(bits))
 	for i, b := range bits {

@@ -142,3 +142,36 @@ func TestCSReconMethodSelectable(t *testing.T) {
 		}
 	}
 }
+
+// TestVariantsHonourReconMethod pins that the digital and active CS
+// chains recover with the configured method, as the passive chain does:
+// a ridge-configured chain must not reproduce the OMP output.
+func TestVariantsHonourReconMethod(t *testing.T) {
+	grid := gridFor(testCommon(8, 2e-6, 39), 3072)
+	for _, tc := range []struct {
+		name string
+		run  func(cfg CSConfig) Output
+	}{
+		{"cs-digital", func(cfg CSConfig) Output { return NewDigitalCS(cfg).RunGrid(grid) }},
+		{"cs-active", func(cfg CSConfig) Output { return NewActiveCS(cfg).RunGrid(grid) }},
+	} {
+		cfg := variantCfg(39)
+		cfg.LNANoise = 2e-6
+		omp := tc.run(cfg)
+		cfg.ReconMethod = cs.MethodRidge
+		ridge := tc.run(cfg)
+		if len(omp.Samples) == 0 || len(ridge.Samples) != len(omp.Samples) {
+			t.Fatalf("%s: lengths %d (omp) and %d (ridge)", tc.name, len(omp.Samples), len(ridge.Samples))
+		}
+		same := true
+		for i := range omp.Samples {
+			if omp.Samples[i] != ridge.Samples[i] {
+				same = false
+				break
+			}
+		}
+		if same {
+			t.Errorf("%s: ridge output equals the OMP output; ReconMethod ignored", tc.name)
+		}
+	}
+}

@@ -153,10 +153,3 @@ func growTo(v []float64, n int) []float64 {
 	}
 	return v[:n]
 }
-
-// NewMatrixReconstructor builds a Reconstructor for an arbitrary effective
-// matrix (used by the active and digital CS chains, whose maps are not the
-// charge-sharing one).
-func NewMatrixReconstructor(a [][]float64, nPhi, maxAtoms int, tol float64) *Reconstructor {
-	return newReconstructorFromMatrix(a, nPhi, maxAtoms, tol)
-}

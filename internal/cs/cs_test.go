@@ -317,11 +317,12 @@ func TestCholeskyKnownSystem(t *testing.T) {
 	// [[4,2],[2,3]] x = [8, 7] → x = [1.0, 5/3... ] solve precisely:
 	// 4a+2b=8, 2a+3b=7 → a=1.25, b=1.5
 	g := []float64{4, 2, 2, 3}
-	l, ok := cholesky(g, 2)
-	if !ok {
+	l := append([]float64(nil), g...)
+	if !cholesky(l, 2) {
 		t.Fatal("PD matrix rejected")
 	}
-	x := choleskySolve(l, []float64{8, 7}, 2)
+	x := []float64{8, 7}
+	choleskySolve(l, x, 2)
 	if math.Abs(x[0]-1.25) > 1e-12 || math.Abs(x[1]-1.5) > 1e-12 {
 		t.Fatalf("solution %v", x)
 	}
@@ -329,7 +330,7 @@ func TestCholeskyKnownSystem(t *testing.T) {
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
 	g := []float64{1, 2, 2, 1} // indefinite
-	if _, ok := cholesky(g, 2); ok {
+	if cholesky(g, 2) {
 		t.Fatal("indefinite matrix accepted")
 	}
 }
@@ -358,11 +359,12 @@ func TestCholeskyProperty(t *testing.T) {
 		}
 		rhs := make([]float64, s)
 		rng.FillNormal(rhs, 0, 1)
-		l, ok := cholesky(g, s)
-		if !ok {
+		l := append([]float64(nil), g...)
+		if !cholesky(l, s) {
 			return false
 		}
-		x := choleskySolve(l, rhs, s)
+		x := append([]float64(nil), rhs...)
+		choleskySolve(l, x, s)
 		// Check G·x = rhs.
 		for i := 0; i < s; i++ {
 			var sum float64
@@ -394,7 +396,7 @@ func TestReconstructorRecoversDCTSparseFrame(t *testing.T) {
 	coeffs[50] = -0.2
 	x := d.Inverse(coeffs)
 	y := enc.EncodeFrame(x)
-	r := NewReconstructor(enc, 20, 1e-12)
+	r := NewMethodReconstructor(enc.EffectiveMatrix(true), n, ReconOptions{MaxAtoms: 20, Tol: 1e-12})
 	xh := r.ReconstructFrame(y)
 	snr := dsp.SNRVersusReference(x, xh)
 	if snr < 50 {
@@ -418,7 +420,7 @@ func TestReconstructorDegradesGracefullyWithNoise(t *testing.T) {
 		coeffs[11] = -0.5e-3
 		x := d.Inverse(coeffs)
 		y := enc.EncodeFrame(x)
-		r := NewReconstructor(enc, 16, 1e-10)
+		r := NewMethodReconstructor(enc.EffectiveMatrix(true), n, ReconOptions{MaxAtoms: 16, Tol: 1e-10})
 		return dsp.SNRVersusReference(x, r.ReconstructFrame(y))
 	}
 	clean := mk(0)
@@ -431,7 +433,7 @@ func TestReconstructorDegradesGracefullyWithNoise(t *testing.T) {
 func TestReconstructStreamShape(t *testing.T) {
 	const n, m = 64, 32
 	enc := idealEncoder(m, n, 2, 14)
-	r := NewReconstructor(enc, 8, 1e-8)
+	r := NewMethodReconstructor(enc.EffectiveMatrix(true), n, ReconOptions{MaxAtoms: 8, Tol: 1e-8})
 	y := enc.Encode(make([]float64, 3*n))
 	xh := r.Reconstruct(y)
 	if len(xh) != 3*n {
@@ -444,7 +446,7 @@ func TestReconstructStreamShape(t *testing.T) {
 
 func TestReconstructorPanicsOnBadLength(t *testing.T) {
 	enc := idealEncoder(8, 32, 2, 15)
-	r := NewReconstructor(enc, 4, 0)
+	r := NewMethodReconstructor(enc.EffectiveMatrix(true), 32, ReconOptions{MaxAtoms: 4})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("bad measurement length should panic")

@@ -53,9 +53,9 @@ func (m Method) String() string {
 type ReconOptions struct {
 	// Method selects the algorithm (default OMP).
 	Method Method
-	// MaxAtoms bounds the sparse support (OMP/IHT). 0 → M/3.
+	// MaxAtoms bounds the sparse support (OMP/IHT/BOMP). 0 → M/3.
 	MaxAtoms int
-	// Tol is the relative residual-energy stop (OMP). <= 0 → 1e-6.
+	// Tol is the relative residual-energy stop (OMP/BOMP). <= 0 → 1e-6.
 	Tol float64
 	// IHTIters is the iteration count for IHT (0 → 40).
 	IHTIters int
@@ -66,15 +66,22 @@ type ReconOptions struct {
 	BlockLen int
 }
 
-// MethodReconstructor recovers frames with a selectable algorithm. It
-// wraps the same effective-matrix machinery as Reconstructor.
+// MethodReconstructor recovers frames of N_Φ input samples from M
+// measurements y ≈ A·x, where A is the *nominal* effective matrix of the
+// encoder (the designer knows the intended capacitor ratio, not the
+// silicon's mismatch realisation). The sparse methods solve y ≈ A·Ψ·θ in
+// the orthonormal DCT dictionary Ψ, in which physiological frames are
+// approximately sparse; ridge solves directly in the sample domain. It
+// is read-only after construction: many goroutines may share one, each
+// with its own ReconScratch.
 type MethodReconstructor struct {
 	opts ReconOptions
 	n, m int
 	dct  *dsp.DCT
-	// Sparse-domain dictionary (OMP/IHT).
-	dict   [][]float64
+	// solver keeps the flat D = A·Ψ dictionary and its Gram matrix (OMP).
 	solver *BatchOMP
+	// dict holds the columns of D (IHT and BOMP).
+	dict [][]float64
 	// IHT step size 1/L with L ≈ the dictionary's largest squared
 	// singular value.
 	ihtStep float64
@@ -84,7 +91,7 @@ type MethodReconstructor struct {
 }
 
 // NewMethodReconstructor precomputes whatever the chosen method needs for
-// the given effective measurement matrix.
+// the given effective measurement matrix, and keeps nothing else.
 func NewMethodReconstructor(a [][]float64, nPhi int, opts ReconOptions) *MethodReconstructor {
 	m := len(a)
 	if m == 0 || len(a[0]) != nPhi {
@@ -108,21 +115,19 @@ func NewMethodReconstructor(a [][]float64, nPhi int, opts ReconOptions) *MethodR
 	if opts.BlockLen <= 0 {
 		opts.BlockLen = 4
 	}
-	r := &MethodReconstructor{opts: opts, n: nPhi, m: m, dct: dsp.NewDCT(nPhi), a: a}
+	r := &MethodReconstructor{opts: opts, n: nPhi, m: m, dct: dsp.NewDCT(nPhi)}
 	switch opts.Method {
-	case MethodOMP, MethodIHT, MethodBOMP:
-		dict := dictionary(a, r.dct)
-		r.dict = dict
-		// BOMP solves its own block least squares on the support; only the
-		// singleton-greedy methods need the Batch-OMP Gram machinery.
-		if opts.Method != MethodBOMP {
-			r.solver = NewBatchOMP(dict)
-		}
-		if opts.Method == MethodIHT {
-			r.ihtStep = 1 / spectralNormSq(r.solver)
-		}
+	case MethodOMP:
+		r.solver = NewBatchOMP(dictionary(a, r.dct))
+	case MethodIHT:
+		r.dict = dictionary(a, r.dct)
+		r.ihtStep = 1 / spectralNormSq(NewBatchOMP(r.dict))
+	case MethodBOMP:
+		// BOMP solves its own block least squares on the support; only
+		// the singleton-greedy OMP needs the Batch-OMP Gram machinery.
+		r.dict = dictionary(a, r.dct)
 	case MethodRidge:
-		// G = A·Aᵀ + λ·mean(diag)·I, factored once.
+		// G = A·Aᵀ + λ·mean(diag)·I, factored once, in place.
 		g := make([]float64, m*m)
 		var trace float64
 		for i := 0; i < m; i++ {
@@ -140,15 +145,47 @@ func NewMethodReconstructor(a [][]float64, nPhi int, opts ReconOptions) *MethodR
 		for i := 0; i < m; i++ {
 			g[i*m+i] += lambda
 		}
-		l, ok := cholesky(g, m)
-		if !ok {
+		if !cholesky(g, m) {
 			panic("cs: ridge system not positive definite")
 		}
-		r.ridge = l
+		r.a, r.ridge = a, g
 	default:
 		panic(fmt.Sprintf("cs: unknown reconstruction method %d", opts.Method))
 	}
 	return r
+}
+
+// dictionary returns the columns of D = A·Ψ for the orthonormal DCT Ψ:
+// dict[k][i] = Σ_t A[i][t]·Ψ_k[t]. Effective CS matrices are sparse (a
+// row holds only the samples routed to it), so each row's non-zero
+// entries are gathered once and the sums run over them alone, in
+// ascending t. A skipped zero entry would add ±0 to a running sum that
+// starts at +0 and can never become -0, which leaves the sum unchanged
+// bit for bit, so every entry equals the dense dsp.Dot(A[i], Ψ_k).
+func dictionary(a [][]float64, d *dsp.DCT) [][]float64 {
+	nz := make([][]int, len(a))
+	for i, row := range a {
+		for t, v := range row {
+			if v != 0 {
+				nz[i] = append(nz[i], t)
+			}
+		}
+	}
+	dict := make([][]float64, len(a[0]))
+	for k := range dict {
+		psi := d.Column(k)
+		col := make([]float64, len(a))
+		for i, idx := range nz {
+			row := a[i]
+			var s float64
+			for _, t := range idx {
+				s += row[t] * psi[t]
+			}
+			col[i] = s
+		}
+		dict[k] = col
+	}
+	return dict
 }
 
 // spectralNormSq estimates the largest eigenvalue of DᵀD via power
@@ -189,40 +226,80 @@ func (r *MethodReconstructor) FrameLen() int { return r.n }
 // Measurements returns M.
 func (r *MethodReconstructor) Measurements() int { return r.m }
 
+// ReconScratch is the per-goroutine working set of ReconstructInto: the
+// coefficient, residual and gradient vectors, the Batch-OMP solver
+// scratch, and BOMP's support, block flags and normal equations. The zero
+// value is ready to use; it grows to the largest geometry seen and is
+// then allocation-free. Not safe for concurrent use.
+type ReconScratch struct {
+	theta, resid, grad []float64
+	normal, rhs        []float64
+	blocks             []bool
+	support            []int
+	omp                Scratch
+}
+
+// ReconstructInto recovers a concatenated measurement stream (frames·M
+// values; a trailing partial frame is dropped) into caller-owned
+// storage. dst is grown (reallocating only when capacity is exceeded) to
+// frames·N_Φ and fully overwritten; the returned slice aliases it.
+func (r *MethodReconstructor) ReconstructInto(dst, y []float64, sc *ReconScratch) []float64 {
+	frames := len(y) / r.m
+	dst = growTo(dst, frames*r.n)
+	sc.theta = growTo(sc.theta, r.n)
+	sc.resid = growTo(sc.resid, r.m)
+	sc.grad = growTo(sc.grad, r.n)
+	for f := 0; f < frames; f++ {
+		out, yf := dst[f*r.n:(f+1)*r.n], y[f*r.m:(f+1)*r.m]
+		switch r.opts.Method {
+		case MethodOMP:
+			r.dct.InverseInto(out, r.solver.SolveInto(sc.theta, yf, r.opts.MaxAtoms, r.opts.Tol, &sc.omp))
+		case MethodIHT:
+			r.dct.InverseInto(out, r.iht(yf, sc))
+		case MethodBOMP:
+			r.dct.InverseInto(out, r.bomp(yf, sc))
+		default:
+			r.ridgeSolve(out, yf, sc.resid)
+		}
+	}
+	return dst
+}
+
+// Reconstruct is ReconstructInto against fresh storage.
+func (r *MethodReconstructor) Reconstruct(y []float64) []float64 {
+	return r.ReconstructInto(nil, y, new(ReconScratch))
+}
+
 // ReconstructFrame recovers one frame from its M measurements.
 func (r *MethodReconstructor) ReconstructFrame(y []float64) []float64 {
 	if len(y) != r.m {
 		panic("cs: measurement vector length mismatch")
 	}
-	switch r.opts.Method {
-	case MethodOMP:
-		return r.dct.Inverse(r.solver.Solve(y, r.opts.MaxAtoms, r.opts.Tol))
-	case MethodIHT:
-		return r.dct.Inverse(r.iht(y))
-	case MethodBOMP:
-		return r.dct.Inverse(r.bomp(y))
-	default:
-		return r.ridgeSolve(y)
-	}
+	return r.Reconstruct(y)
 }
 
-// bomp runs block orthogonal matching pursuit: the DCT dictionary is cut
-// into contiguous blocks of BlockLen atoms, each greedy step admits the
-// block with the largest aggregate residual correlation, and the
-// coefficients on the grown support are re-fit by least squares before
-// the residual is updated — OMP's orthogonalisation at block granularity.
-func (r *MethodReconstructor) bomp(y []float64) []float64 {
+// bomp runs block orthogonal matching pursuit into sc.theta: the DCT
+// dictionary is cut into contiguous blocks of BlockLen atoms, each greedy
+// step admits the block with the largest aggregate residual correlation,
+// and the coefficients on the grown support are re-fit by least squares
+// before the residual is updated — OMP's orthogonalisation at block
+// granularity.
+func (r *MethodReconstructor) bomp(y []float64, sc *ReconScratch) []float64 {
 	blockLen := r.opts.BlockLen
 	nBlocks := (r.n + blockLen - 1) / blockLen
-	resid := make([]float64, r.m)
-	copy(resid, y)
+	theta, resid := sc.theta, sc.resid
+	clear(theta)
 	energy0 := dsp.Energy(y)
-	theta := make([]float64, r.n)
 	if energy0 == 0 {
 		return theta
 	}
-	selected := make([]bool, nBlocks)
-	var support []int
+	copy(resid, y)
+	if cap(sc.blocks) < nBlocks {
+		sc.blocks = make([]bool, nBlocks)
+	}
+	selected := sc.blocks[:nBlocks]
+	clear(selected)
+	support := sc.support[:0]
 	for len(support) < r.opts.MaxAtoms {
 		best, bestScore := -1, 0.0
 		for b := 0; b < nBlocks; b++ {
@@ -248,8 +325,8 @@ func (r *MethodReconstructor) bomp(y []float64) []float64 {
 		// Least squares on the support: (DᵀD + εI)·c = Dᵀy, refactored each
 		// step (supports stay small — a handful of blocks).
 		p := len(support)
-		g := make([]float64, p*p)
-		rhs := make([]float64, p)
+		sc.normal, sc.rhs = growTo(sc.normal, p*p), growTo(sc.rhs, p)
+		g, c := sc.normal, sc.rhs
 		for i := 0; i < p; i++ {
 			di := r.dict[support[i]]
 			for j := i; j < p; j++ {
@@ -258,13 +335,12 @@ func (r *MethodReconstructor) bomp(y []float64) []float64 {
 				g[j*p+i] = dot
 			}
 			g[i*p+i] += 1e-12
-			rhs[i] = dsp.Dot(di, y)
+			c[i] = dsp.Dot(di, y)
 		}
-		l, ok := cholesky(g, p)
-		if !ok {
+		if !cholesky(g, p) {
 			break
 		}
-		c := choleskySolve(l, rhs, p)
+		choleskySolve(g, c, p)
 		copy(resid, y)
 		for i, k := range support {
 			ci := c[i]
@@ -276,9 +352,7 @@ func (r *MethodReconstructor) bomp(y []float64) []float64 {
 				resid[t] -= ci * col[t]
 			}
 		}
-		for k := range theta {
-			theta[k] = 0
-		}
+		clear(theta)
 		for i, k := range support {
 			theta[k] = c[i]
 		}
@@ -286,24 +360,15 @@ func (r *MethodReconstructor) bomp(y []float64) []float64 {
 			break
 		}
 	}
+	sc.support = support
 	return theta
 }
 
-// Reconstruct recovers a concatenated measurement stream.
-func (r *MethodReconstructor) Reconstruct(y []float64) []float64 {
-	frames := len(y) / r.m
-	out := make([]float64, 0, frames*r.n)
-	for f := 0; f < frames; f++ {
-		out = append(out, r.ReconstructFrame(y[f*r.m:(f+1)*r.m])...)
-	}
-	return out
-}
-
-// iht runs iterative hard thresholding: θ ← H_K(θ + µ·Dᵀ(y − D·θ)).
-func (r *MethodReconstructor) iht(y []float64) []float64 {
-	theta := make([]float64, r.n)
-	resid := make([]float64, r.m)
-	grad := make([]float64, r.n)
+// iht runs iterative hard thresholding into sc.theta:
+// θ ← H_K(θ + µ·Dᵀ(y − D·θ)).
+func (r *MethodReconstructor) iht(y []float64, sc *ReconScratch) []float64 {
+	theta, resid, grad := sc.theta, sc.resid, sc.grad
+	clear(theta)
 	for iter := 0; iter < r.opts.IHTIters; iter++ {
 		// resid = y - D·theta.
 		copy(resid, y)
@@ -323,20 +388,21 @@ func (r *MethodReconstructor) iht(y []float64) []float64 {
 		for k := range theta {
 			theta[k] += r.ihtStep * grad[k]
 		}
-		keepTopKAbs(theta, r.opts.MaxAtoms)
+		// grad is dead until the next iteration recomputes it.
+		keepTopKAbs(theta, r.opts.MaxAtoms, grad)
 	}
 	return theta
 }
 
-// keepTopKAbs zeroes all but the k largest-magnitude entries, in place.
-func keepTopKAbs(v []float64, k int) {
+// keepTopKAbs zeroes all but the k largest-magnitude entries of v, in
+// place, overwriting mags (len(v)) as scratch.
+func keepTopKAbs(v []float64, k int, mags []float64) {
 	if k >= len(v) {
 		return
 	}
 	// Selection by threshold: find the k-th largest magnitude with a
-	// simple partial pass (n is a few hundred; O(n·k) is fine and
-	// allocation-free in the hot loop is not required here).
-	mags := make([]float64, len(v))
+	// quickselect over the magnitudes.
+	mags = mags[:len(v)]
 	for i, x := range v {
 		mags[i] = math.Abs(x)
 	}
@@ -388,18 +454,19 @@ func kthLargest(a []float64, k int) float64 {
 	return a[target]
 }
 
-// ridgeSolve computes x̂ = Aᵀ·(A·Aᵀ + λI)⁻¹·y.
-func (r *MethodReconstructor) ridgeSolve(y []float64) []float64 {
-	w := choleskySolve(r.ridge, y, r.m)
-	out := make([]float64, r.n)
+// ridgeSolve writes x̂ = Aᵀ·(A·Aᵀ + λI)⁻¹·y into dst, solving for the
+// M weights in w.
+func (r *MethodReconstructor) ridgeSolve(dst, y, w []float64) {
+	copy(w, y)
+	choleskySolve(r.ridge, w, r.m)
+	clear(dst)
 	for i, wi := range w {
 		if wi == 0 {
 			continue
 		}
 		row := r.a[i]
-		for j := range out {
-			out[j] += wi * row[j]
+		for j := range dst {
+			dst[j] += wi * row[j]
 		}
 	}
-	return out
 }

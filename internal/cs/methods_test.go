@@ -117,7 +117,7 @@ func TestKthLargest(t *testing.T) {
 
 func TestKeepTopKAbs(t *testing.T) {
 	v := []float64{0.1, -5, 3, -0.2, 4}
-	keepTopKAbs(v, 2)
+	keepTopKAbs(v, 2, make([]float64, len(v)))
 	nz := 0
 	for _, x := range v {
 		if x != 0 {
@@ -128,7 +128,7 @@ func TestKeepTopKAbs(t *testing.T) {
 		t.Fatalf("keepTopKAbs result %v", v)
 	}
 	w := []float64{1, 2}
-	keepTopKAbs(w, 5) // no-op
+	keepTopKAbs(w, 5, make([]float64, len(w))) // no-op
 	if w[0] != 1 || w[1] != 2 {
 		t.Fatal("oversized k should be a no-op")
 	}
@@ -217,18 +217,72 @@ func TestDigitalEncodeShape(t *testing.T) {
 	}
 }
 
-func TestNewMatrixReconstructorEquivalence(t *testing.T) {
-	// The generic constructor on the passive encoder's nominal matrix
-	// must reproduce NewReconstructor exactly.
-	enc, x, y := sparseFrameProblem(96, 48, 30)
-	r1 := NewReconstructor(enc, 10, 1e-10)
-	r2 := NewMatrixReconstructor(enc.EffectiveMatrix(true), 96, 10, 1e-10)
-	a := r1.ReconstructFrame(y)
-	b := r2.ReconstructFrame(y)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("reconstructors diverge at %d", i)
+// reconProblem builds the nominal effective matrix of an n-sample,
+// m-measurement passive encoder and a noisy multitone stream of the given
+// frame count, with frame silent left at zero (the zero-energy exit; -1
+// for none).
+func reconProblem(n, m, frames, silent int, seed int64) (a [][]float64, y []float64) {
+	phi := GenerateSRBM(m, n, 2, seed)
+	a = NominalEffectiveMatrix(phi, 5e-15, 80e-15)
+	rng := xrand.New(seed)
+	x := make([]float64, frames*n)
+	for i := range x {
+		if i/n == silent {
+			continue
+		}
+		x[i] = math.Sin(0.05*float64(i)) + 0.4*math.Sin(0.31*float64(i)+1) + rng.Normal(0, 0.05)
+	}
+	return a, DigitalEncode(phi, x)
+}
+
+func TestReconstructIntoMatchesReconstruct(t *testing.T) {
+	var sc ReconScratch
+	for _, g := range []struct{ n, m int }{{192, 96}, {96, 48}, {192, 96}} {
+		a, y := reconProblem(g.n, g.m, 3, 1, int64(g.n))
+		for _, method := range []Method{MethodOMP, MethodIHT, MethodRidge, MethodBOMP} {
+			r := NewMethodReconstructor(a, g.n, ReconOptions{Method: method, MaxAtoms: g.m / 4, Tol: 1e-4})
+			want := r.Reconstruct(y)
+			if len(want) != 3*g.n {
+				t.Fatalf("%s: Reconstruct length %d, want %d", method, len(want), 3*g.n)
+			}
+			stale := make([]float64, len(want)+5)
+			for i := range stale {
+				stale[i] = math.NaN()
+			}
+			got := r.ReconstructInto(stale[:1], y, &sc)
+			if &got[0] != &stale[0] {
+				t.Fatalf("%s: ReconstructInto reallocated a dst with room", method)
+			}
+			for f := 0; f < 3; f++ {
+				frame := r.ReconstructFrame(y[f*g.m : (f+1)*g.m])
+				for i, v := range frame {
+					if k := f*g.n + i; got[k] != want[k] || v != want[k] {
+						t.Fatalf("%s n=%d sample %d: Into %v, Reconstruct %v, ReconstructFrame %v", method, g.n, k, got[k], want[k], v)
+					}
+				}
+			}
 		}
 	}
-	_ = x
+}
+
+// BenchmarkReconstructInto times the allocation-free recovery of the
+// default passive-CS geometry (M=150, N_Φ=384, the chains' M/4 atom
+// budget and 1e-4 tolerance), per frame, for OMP (the EEG recovery) and
+// block-OMP (the ECG one).
+func BenchmarkReconstructInto(b *testing.B) {
+	const n, m, frames = 384, 150, 4
+	a, y := reconProblem(n, m, frames, -1, 7)
+	for _, method := range []Method{MethodOMP, MethodBOMP} {
+		b.Run(method.String(), func(b *testing.B) {
+			r := NewMethodReconstructor(a, n, ReconOptions{Method: method, MaxAtoms: m / 4, Tol: 1e-4})
+			var sc ReconScratch
+			dst := r.ReconstructInto(nil, y, &sc)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = r.ReconstructInto(dst, y, &sc)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames), "ns/frame")
+		})
+	}
 }

@@ -122,55 +122,55 @@ func lsSolve(cols [][]float64, support []int, y []float64) (c []float64, ok bool
 		}
 		b[a] = dot
 	}
-	l, ok := cholesky(g, s)
-	if !ok {
+	if !cholesky(g, s) {
 		return nil, false
 	}
-	return choleskySolve(l, b, s), true
+	choleskySolve(g, b, s)
+	return b, true
 }
 
-// cholesky factors the s×s symmetric matrix g (row-major) as L·Lᵀ,
-// returning the lower factor, or ok=false if not positive definite.
-func cholesky(g []float64, s int) (l []float64, ok bool) {
-	l = make([]float64, s*s)
+// cholesky factors the s×s symmetric matrix g (row-major) as L·Lᵀ in
+// place, overwriting the lower triangle of g with L, or returns false if
+// g is not positive definite. Each entry of g is read once, just before L
+// overwrites it, and the upper triangle is never touched.
+func cholesky(g []float64, s int) bool {
 	for i := 0; i < s; i++ {
 		for j := 0; j <= i; j++ {
 			sum := g[i*s+j]
 			for k := 0; k < j; k++ {
-				sum -= l[i*s+k] * l[j*s+k]
+				sum -= g[i*s+k] * g[j*s+k]
 			}
 			if i == j {
 				if sum <= 1e-300 {
-					return nil, false
+					return false
 				}
-				l[i*s+i] = math.Sqrt(sum)
+				g[i*s+i] = math.Sqrt(sum)
 			} else {
-				l[i*s+j] = sum / l[j*s+j]
+				g[i*s+j] = sum / g[j*s+j]
 			}
 		}
 	}
-	return l, true
+	return true
 }
 
-// choleskySolve solves L·Lᵀ·x = b.
-func choleskySolve(l, b []float64, s int) []float64 {
-	// Forward substitution: L·z = b.
-	z := make([]float64, s)
+// choleskySolve solves L·Lᵀ·x = b in place: x holds b on entry and the
+// solution on return. Only the lower triangle of l is read.
+func choleskySolve(l, x []float64, s int) {
+	// Forward substitution L·z = b; z[i] overwrites b[i], which is not
+	// read again.
 	for i := 0; i < s; i++ {
-		sum := b[i]
+		sum := x[i]
 		for k := 0; k < i; k++ {
-			sum -= l[i*s+k] * z[k]
+			sum -= l[i*s+k] * x[k]
 		}
-		z[i] = sum / l[i*s+i]
+		x[i] = sum / l[i*s+i]
 	}
-	// Back substitution: Lᵀ·x = z.
-	x := make([]float64, s)
+	// Back substitution Lᵀ·x = z, from the last row up.
 	for i := s - 1; i >= 0; i-- {
-		sum := z[i]
+		sum := x[i]
 		for k := i + 1; k < s; k++ {
 			sum -= l[k*s+i] * x[k]
 		}
 		x[i] = sum / l[i*s+i]
 	}
-	return x
 }
