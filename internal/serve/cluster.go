@@ -13,7 +13,6 @@ import (
 	"efficsense/internal/cache"
 	"efficsense/internal/cluster"
 	"efficsense/internal/core"
-	"efficsense/internal/dse"
 	"efficsense/internal/experiments"
 )
 
@@ -146,19 +145,13 @@ func (c *clusterCache) fetchRemote(ctx context.Context, owner cluster.Member, ke
 // PeerEvaluate serves one peer-protocol request: evaluate (or serve
 // warm) the design point the spec describes, returning the result, the
 // owner-side cache fingerprint for the response key, and whether it was
-// a cache hit. Peer traffic is node-to-node plumbing on behalf of a
-// request already admitted elsewhere, so it skips tenant admission; it
-// runs with peering disabled so a skewed ring cannot bounce the key
+// a cache hit. It runs the same synchronous step as /v1/evaluate, with
+// two differences: peer traffic is node-to-node plumbing on behalf of a
+// request already admitted elsewhere, so it skips tenant admission, and
+// it runs with peering disabled so a skewed ring cannot bounce the key
 // onward.
 func (m *Manager) PeerEvaluate(ctx context.Context, spec peerEvalSpec) (core.Result, string, bool, error) {
-	m.mu.Lock()
-	closed := m.closed
-	m.mu.Unlock()
-	if closed {
-		return core.Result{}, "", false, ErrShuttingDown
-	}
-	opts := spec.Options.apply(m.cfg.Defaults)
-	scn, err := resolveScenario(&opts)
+	scn, err := m.Scenario(spec.Options)
 	if err != nil {
 		return core.Result{}, "", false, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
@@ -166,18 +159,7 @@ func (m *Manager) PeerEvaluate(ctx context.Context, spec peerEvalSpec) (core.Res
 	if err != nil {
 		return core.Result{}, "", false, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	engine, err := m.cfg.Engines(opts)
-	if err != nil {
-		return core.Result{}, "", false, fmt.Errorf("engine: %w", err)
-	}
-	m.registerEngine(engine)
-	ctx = cluster.WithoutPeering(ctx)
-	ctx, cancel := context.WithTimeout(ctx, m.cfg.EvalTimeout)
-	defer cancel()
-	var hit bool
-	rs, err := engine.RunWithHook(ctx, []core.DesignPoint{p}, func(ev dse.Event) {
-		hit = ev.Cached
-	})
+	rs, cached, engine, err := m.evaluate(cluster.WithoutPeering(ctx), spec.Options, []core.DesignPoint{p}, 0, false)
 	if err != nil {
 		return core.Result{}, "", false, err
 	}
@@ -185,7 +167,7 @@ func (m *Manager) PeerEvaluate(ctx context.Context, spec peerEvalSpec) (core.Res
 	if f, ok := engine.(interface{ EvaluatorID() string }); ok {
 		key = f.EvaluatorID() + "/" + p.Key()
 	}
-	return rs[0], key, hit, nil
+	return rs[0], key, cached[0], nil
 }
 
 // ClusterStatus snapshots the peer group, when fleet mode is on.

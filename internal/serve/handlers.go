@@ -216,9 +216,12 @@ func decodeBody(r *http.Request, v interface{}) error {
 
 // handleEvaluate scores design points synchronously, bounded by the
 // request deadline (timeout_ms, capped by the server's EvalTimeout). A
-// single-object body ({"point": ...}) returns one ResultJSON; a batch
-// body ({"points": [...]}) flows through the engines' batch dispatch
-// and returns an EvaluateBatchResponse with per-point rows.
+// single-object body ({"point": ...}) is a one-point batch that returns
+// one ResultJSON; a batch body ({"points": [...]}) returns an
+// EvaluateBatchResponse with per-point rows. Spec validation is
+// all-or-nothing (a malformed point is the caller's bug: 400 naming it);
+// a deadline answers a single point with 504 but degrades a batch into
+// error rows with partial: true, the same shape sweep outcomes use.
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var req EvaluateRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -230,91 +233,27 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			"timeout_ms must be non-negative, got %d", req.TimeoutMS)
 		return
 	}
-	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
 	scn, err := s.mgr.Scenario(req.Options)
 	if err != nil {
 		s.error(w, r, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
-	if req.Points != nil {
-		s.evaluateBatch(w, r, req, scn, timeout)
-		return
-	}
-	dp, err := req.Point.DesignPoint(scn)
+	pts, err := req.designPoints(scn)
 	if err != nil {
-		s.error(w, r, http.StatusBadRequest, CodeBadRequest, "point: %v", err)
-		return
-	}
-	result, cached, err := s.mgr.Evaluate(r.Context(), req.Options, dp, timeout)
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrRateLimited):
-		retry := retrySeconds(retryAfter(err, time.Second))
-		w.Header().Set("Retry-After", fmt.Sprint(retry))
-		s.error(w, r, http.StatusTooManyRequests, CodeRateLimited, "%v (retry after ~%ds)", err, retry)
-		return
-	case errors.Is(err, ErrShuttingDown):
-		w.Header().Set("Retry-After", fmt.Sprint(retrySeconds(drainRetryAfter)))
-		s.error(w, r, http.StatusServiceUnavailable, CodeShuttingDown, "%v", err)
-		return
-	case errors.Is(err, context.DeadlineExceeded):
-		s.error(w, r, http.StatusGatewayTimeout, CodeDeadline, "evaluation exceeded the deadline")
-		return
-	case errors.Is(err, context.Canceled):
-		// Client went away; nothing useful to write.
-		return
-	default:
-		s.error(w, r, http.StatusInternalServerError, CodeInternal, "%v", err)
-		return
-	}
-	rj := resultJSON(result)
-	rj.Cached = cached
-	writeJSON(w, http.StatusOK, rj)
-}
-
-// evaluateBatch is handleEvaluate's batch arm. Spec validation is
-// all-or-nothing (a malformed point is the caller's bug: 400 naming the
-// index); evaluation failures degrade per point into error rows with
-// partial: true, the same shape sweep outcomes use.
-func (s *Server) evaluateBatch(w http.ResponseWriter, r *http.Request, req EvaluateRequest, scn *scenario.Scenario, timeout time.Duration) {
-	if req.Point != (PointSpec{}) {
-		s.error(w, r, http.StatusBadRequest, CodeBadRequest,
-			"provide either point or points, not both")
-		return
-	}
-	if len(req.Points) == 0 {
-		s.error(w, r, http.StatusBadRequest, CodeBadRequest, "points must not be empty")
-		return
-	}
-	pts := make([]core.DesignPoint, len(req.Points))
-	for i, ps := range req.Points {
-		dp, err := ps.DesignPoint(scn)
-		if err != nil {
-			s.error(w, r, http.StatusBadRequest, CodeBadRequest, "points[%d]: %v", i, err)
-			return
-		}
-		pts[i] = dp
-	}
-	rs, cached, err := s.mgr.EvaluateBatch(r.Context(), req.Options, pts, timeout)
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrBadRequest):
 		s.error(w, r, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
-	case errors.Is(err, ErrRateLimited):
-		retry := retrySeconds(retryAfter(err, time.Second))
-		w.Header().Set("Retry-After", fmt.Sprint(retry))
-		s.error(w, r, http.StatusTooManyRequests, CodeRateLimited, "%v (retry after ~%ds)", err, retry)
+	}
+	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
+	rs, cached, err := s.mgr.EvaluateBatch(r.Context(), req.Options, pts, timeout)
+	batch := req.Points != nil
+	if err != nil && !(batch && rs != nil && errors.Is(err, context.DeadlineExceeded)) {
+		s.managerError(w, r, err)
 		return
-	case errors.Is(err, ErrShuttingDown):
-		w.Header().Set("Retry-After", fmt.Sprint(retrySeconds(drainRetryAfter)))
-		s.error(w, r, http.StatusServiceUnavailable, CodeShuttingDown, "%v", err)
-		return
-	case errors.Is(err, context.Canceled):
-		// Client went away; nothing useful to write.
-		return
-	default:
-		s.error(w, r, http.StatusInternalServerError, CodeInternal, "%v", err)
+	}
+	if !batch {
+		rj := resultJSON(rs[0])
+		rj.Cached = cached[0]
+		writeJSON(w, http.StatusOK, rj)
 		return
 	}
 	resp := EvaluateBatchResponse{Count: len(rs), Results: make([]ResultJSON, len(rs))}
@@ -330,6 +269,33 @@ func (s *Server) evaluateBatch(w http.ResponseWriter, r *http.Request, req Evalu
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// designPoints parses the request's one point, or its batch, into the
+// slice the evaluation runs; errors name the offending point.
+func (req *EvaluateRequest) designPoints(scn *scenario.Scenario) ([]core.DesignPoint, error) {
+	if req.Points == nil {
+		dp, err := req.Point.DesignPoint(scn)
+		if err != nil {
+			return nil, fmt.Errorf("point: %v", err)
+		}
+		return []core.DesignPoint{dp}, nil
+	}
+	if req.Point != (PointSpec{}) {
+		return nil, errors.New("provide either point or points, not both")
+	}
+	if len(req.Points) == 0 {
+		return nil, errors.New("points must not be empty")
+	}
+	pts := make([]core.DesignPoint, len(req.Points))
+	for i, ps := range req.Points {
+		dp, err := ps.DesignPoint(scn)
+		if err != nil {
+			return nil, fmt.Errorf("points[%d]: %v", i, err)
+		}
+		pts[i] = dp
+	}
+	return pts, nil
+}
+
 // retrySeconds rounds an honest Retry-After up to whole seconds (the
 // header's unit), never below 1 — a client that retries instantly would
 // just be rejected again.
@@ -341,14 +307,14 @@ func retrySeconds(d time.Duration) int {
 	return secs
 }
 
-// submitError maps Submit/SubmitSearch sentinel errors onto the wire,
-// reporting whether an error response was written. Every backpressure
-// response — rate-limited (429), saturated (429) and draining (503)
-// alike — carries an honest Retry-After so clients never guess.
-func (s *Server) submitError(w http.ResponseWriter, r *http.Request, err error) bool {
+// managerError maps a Manager error onto the wire — the one mapping
+// for synchronous evaluation and job submission alike. Every
+// backpressure response — rate-limited (429), saturated (429) and
+// draining (503) — carries an honest Retry-After so clients never
+// guess. A run that missed its deadline is a 504; a client that went
+// away gets nothing written.
+func (s *Server) managerError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
-	case err == nil:
-		return false
 	case errors.Is(err, ErrBadRequest):
 		s.error(w, r, http.StatusBadRequest, CodeBadRequest, "%v", err)
 	case errors.Is(err, ErrRateLimited):
@@ -364,10 +330,13 @@ func (s *Server) submitError(w http.ResponseWriter, r *http.Request, err error) 
 		// trying again is worthwhile instead of shipping a bare 503.
 		w.Header().Set("Retry-After", fmt.Sprint(retrySeconds(drainRetryAfter)))
 		s.error(w, r, http.StatusServiceUnavailable, CodeShuttingDown, "%v", err)
+	case errors.Is(err, context.DeadlineExceeded):
+		s.error(w, r, http.StatusGatewayTimeout, CodeDeadline, "evaluation exceeded the deadline")
+	case errors.Is(err, context.Canceled):
+		// Client went away; nothing useful to write.
 	default:
 		s.error(w, r, http.StatusInternalServerError, CodeInternal, "%v", err)
 	}
-	return true
 }
 
 // drainRetryAfter is the Retry-After a draining daemon advertises: long
@@ -385,7 +354,8 @@ func submitHandler[R any](s *Server, submit func(context.Context, R) (*Job, erro
 			return
 		}
 		job, err := submit(r.Context(), req)
-		if s.submitError(w, r, err) {
+		if err != nil {
+			s.managerError(w, r, err)
 			return
 		}
 		st := job.Status()

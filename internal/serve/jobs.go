@@ -58,8 +58,8 @@ func resolveScenario(opts *experiments.Options) (*scenario.Scenario, error) {
 }
 
 // Scenario resolves the workload a request's options select, with the
-// server defaults applied — the handler-side counterpart of the
-// admission paths, used to scope point parsing before evaluation.
+// server defaults applied — used to scope point parsing before a
+// synchronous evaluation (/v1/evaluate and the peer fill).
 func (m *Manager) Scenario(spec *OptionsSpec) (*scenario.Scenario, error) {
 	opts := spec.apply(m.cfg.Defaults)
 	return scenario.Lookup(opts.Scenario)
@@ -464,7 +464,7 @@ func (m *Manager) runJob(job *Job) {
 		m.finish(job, nil, err)
 		return
 	}
-	engine, err := m.cfg.Engines(job.opts)
+	engine, err := m.engine(job.opts)
 	if err != nil {
 		m.finish(job, nil, fmt.Errorf("engine: %w", err))
 		return
@@ -473,7 +473,6 @@ func (m *Manager) runJob(job *Job) {
 		m.finish(job, nil, fmt.Errorf("job: %w", err))
 		return
 	}
-	m.registerEngine(engine)
 	job.mu.Lock()
 	job.engine = engine
 	job.mu.Unlock()
@@ -634,7 +633,7 @@ func (m *Manager) Cancel(ctx context.Context, id string) (*Job, error) {
 		return nil, err
 	}
 	job.requestCancel()
-	m.logJob(job, "sweep cancel requested",
+	m.logJob(job, job.kind.name()+" cancel requested",
 		slog.String("cancelled_by_request_id", obs.RequestID(ctx)))
 	return job, nil
 }
@@ -788,113 +787,112 @@ func (m *Manager) retryAfterLocked() time.Duration {
 	return min(max(best, time.Second), 5*time.Minute)
 }
 
-// Evaluate scores one design point synchronously through the shared
-// engine layer, honouring ctx and the configured deadline cap. The
-// cached flag reports a memoisation hit. Single evaluations bypass the
-// job slots: they are the interactive fast path, bounded by EvalTimeout
-// rather than queueing.
-func (m *Manager) Evaluate(ctx context.Context, spec *OptionsSpec, p core.DesignPoint, timeout time.Duration) (core.Result, bool, error) {
-	m.mu.Lock()
-	closed := m.closed
-	m.mu.Unlock()
-	if closed {
-		return core.Result{}, false, ErrShuttingDown
-	}
-	if err := m.admitEval(ctx, 1); err != nil {
-		return core.Result{}, false, err
-	}
-	m.evaluations.Add(1)
-	opts := spec.apply(m.cfg.Defaults)
-	if _, err := resolveScenario(&opts); err != nil {
-		return core.Result{}, false, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	engine, err := m.cfg.Engines(opts)
-	if err != nil {
-		return core.Result{}, false, fmt.Errorf("engine: %w", err)
-	}
-	m.registerEngine(engine)
-	if timeout <= 0 || timeout > m.cfg.EvalTimeout {
-		timeout = m.cfg.EvalTimeout
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	var cached bool
-	rs, err := engine.RunWithHook(ctx, []core.DesignPoint{p}, func(ev dse.Event) {
-		cached = ev.Cached
-	})
-	if err != nil {
-		return core.Result{}, false, err
-	}
-	return rs[0], cached, nil
+// EvaluateBatch scores design points synchronously through the shared
+// engine layer — the priority lane behind POST /v1/evaluate, for one
+// point or many. It returns one row per point in input order plus a
+// parallel cached-flags slice. Like the sweep path it degrades rather
+// than fails: a point that errors (injected fault, evaluator panic)
+// comes back as an error row. A run that ends early (deadline, client
+// disconnect) still yields every row — the unfinished points as error
+// rows carrying the run's error — and returns that error too, so the
+// caller picks the shape: the HTTP layer answers a single point's
+// deadline with 504 and degrades a batch into rows. Failures before the
+// run (draining, rate limit, invalid options, engine resolution) return
+// no rows.
+func (m *Manager) EvaluateBatch(ctx context.Context, spec *OptionsSpec, pts []core.DesignPoint, timeout time.Duration) ([]core.Result, []bool, error) {
+	rs, cached, _, err := m.evaluate(ctx, spec, pts, timeout, true)
+	return rs, cached, err
 }
 
-// EvaluateBatch scores a batch of design points synchronously through
-// the shared engine layer, returning one result per point in input
-// order plus a parallel cached-flags slice. Like the sweep path it
-// degrades rather than fails: a point that errors (injected fault,
-// evaluator panic, deadline expiry mid-batch) comes back as an error
-// row with Result.Err set, never as a lost point, and the call itself
-// only errors when no rows can be produced at all (draining, engine
-// resolution failure, client disconnect).
-func (m *Manager) EvaluateBatch(ctx context.Context, spec *OptionsSpec, pts []core.DesignPoint, timeout time.Duration) ([]core.Result, []bool, error) {
-	m.mu.Lock()
-	closed := m.closed
-	m.mu.Unlock()
-	if closed {
-		return nil, nil, ErrShuttingDown
+// evaluate is the one synchronous evaluation step, shared by
+// EvaluateBatch and PeerEvaluate: drain check, size limit, tenant
+// admission (admit; peer fills were admitted on the requesting node),
+// options and scenario, engine, the timeout clamped to EvalTimeout
+// (timeout <= 0 picks the cap), and one run through runRows. It also
+// returns the engine, whose fingerprint keys a peer response.
+func (m *Manager) evaluate(ctx context.Context, spec *OptionsSpec, pts []core.DesignPoint, timeout time.Duration, admit bool) ([]core.Result, []bool, Engine, error) {
+	if m.Draining() {
+		return nil, nil, nil, ErrShuttingDown
 	}
 	if max := m.cfg.MaxSweepPoints; len(pts) > max {
-		return nil, nil, fmt.Errorf("%w: batch of %d points exceeds the limit %d", ErrBadRequest, len(pts), max)
+		return nil, nil, nil, fmt.Errorf("%w: batch of %d points exceeds the limit %d", ErrBadRequest, len(pts), max)
 	}
-	if err := m.admitEval(ctx, len(pts)); err != nil {
-		return nil, nil, err
+	if admit {
+		if err := m.admitEval(ctx, len(pts)); err != nil {
+			return nil, nil, nil, err
+		}
+		m.evaluations.Add(int64(len(pts)))
 	}
-	m.evaluations.Add(int64(len(pts)))
 	opts := spec.apply(m.cfg.Defaults)
 	if _, err := resolveScenario(&opts); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return nil, nil, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	engine, err := m.cfg.Engines(opts)
+	engine, err := m.engine(opts)
 	if err != nil {
-		return nil, nil, fmt.Errorf("engine: %w", err)
+		return nil, nil, nil, fmt.Errorf("engine: %w", err)
 	}
-	m.registerEngine(engine)
 	if timeout <= 0 || timeout > m.cfg.EvalTimeout {
 		timeout = m.cfg.EvalTimeout
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	out := make([]core.Result, len(pts))
-	cached := make([]bool, len(pts))
-	completed := make([]bool, len(pts))
-	rs, err := engine.RunWithHook(ctx, pts, func(ev dse.Event) {
-		if ev.Index >= 0 && ev.Index < len(out) {
-			out[ev.Index] = ev.Result
-			cached[ev.Index] = ev.Cached
-			completed[ev.Index] = true
-		}
-	})
-	switch {
-	case err == nil:
-		return rs, cached, nil
-	case errors.Is(err, context.DeadlineExceeded):
-		// The deadline fired mid-batch: the points that finished keep
-		// their results, the rest become error rows.
-		for i := range out {
-			if !completed[i] {
-				out[i] = core.Result{Point: pts[i], Err: err}
-			}
-		}
-		return out, cached, nil
-	default:
-		return nil, nil, err
-	}
+	rs, cached, err := runRows(ctx, engine, pts)
+	return rs, cached, engine, err
 }
 
-func (m *Manager) registerEngine(e Engine) {
+// runRows runs pts through e and returns one row per point, in input
+// order, with each point's cached flag. The hook records by index which
+// points completed and whether each was a cache hit; a run that ends
+// early returns only the completed results, still in input order, so
+// the flags place them. Every point that did not complete becomes an
+// error row carrying the run's error, which is returned as well. The
+// results themselves are not copied in the hook: on the warm single
+// point path that copy would cost an allocation per request.
+func runRows(ctx context.Context, e Engine, pts []core.DesignPoint) ([]core.Result, []bool, error) {
+	n := len(pts)
+	flags := make([]bool, 2*n) // cached flags, then completion flags
+	cached, done := flags[:n:n], flags[n:]
+	rs, err := e.RunWithHook(ctx, pts, func(ev dse.Event) {
+		if ev.Index >= 0 && ev.Index < len(done) {
+			cached[ev.Index], done[ev.Index] = ev.Cached, true
+		}
+	})
+	if err == nil && len(rs) == n {
+		return rs, cached, nil
+	}
+	if err == nil {
+		err = errors.New("serve: engine returned a short result slice")
+	}
+	completed := 0
+	for _, d := range done {
+		if d {
+			completed++
+		}
+	}
+	// Results the flags cannot place are dropped, never misattributed.
+	placed := completed == len(rs)
+	rows := make([]core.Result, n)
+	for i := range rows {
+		if placed && done[i] {
+			rows[i], rs = rs[0], rs[1:]
+		} else {
+			rows[i], cached[i] = core.Result{Point: pts[i], Err: err}, false
+		}
+	}
+	return rows, cached, err
+}
+
+// engine resolves the engine serving opts and registers it for the
+// /metrics aggregation. Callers word the error for their context.
+func (m *Manager) engine(opts experiments.Options) (Engine, error) {
+	e, err := m.cfg.Engines(opts)
+	if err != nil {
+		return nil, err
+	}
 	m.mu.Lock()
 	m.engines[e] = struct{}{}
 	m.mu.Unlock()
+	return e, nil
 }
 
 // Counters is the manager's point-in-time accounting for /metrics and

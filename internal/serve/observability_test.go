@@ -342,6 +342,39 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 }
 
+// TestCancelLogNamesJobKind: the "cancel requested" lifecycle record is
+// named after the job's kind like every other lifecycle record, and
+// carries the cancelling request's ID beside the submitting one.
+func TestCancelLogNamesJobKind(t *testing.T) {
+	ts, _, sink := newLoggedServer(t, 30*time.Millisecond, ManagerConfig{})
+	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/search",
+		`{"query":"max-snr","max_evaluations":16,
+		  "space":{"architectures":["baseline"],"bits":[4,6],"noise_steps":8}}`))
+
+	const rid = "cancel-rid-7"
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+st.StatusURL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-ID", rid)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("cancel status %d", resp.StatusCode)
+	}
+	rec := sink.find(t, "search cancel requested", map[string]string{
+		"job_id": st.ID, "cancelled_by_request_id": rid,
+	})
+	if rec.attrs["request_id"] != st.RequestID {
+		t.Errorf("cancel record request_id %q, want the submitter's %q",
+			rec.attrs["request_id"], st.RequestID)
+	}
+	waitTerminalAt(t, ts.URL+st.StatusURL)
+}
+
 // TestMetricsHistogramExposition checks the two new histogram families
 // appear in /metrics with the Prometheus shape: per-endpoint le-labelled
 // buckets, a +Inf bucket, and _sum/_count series.

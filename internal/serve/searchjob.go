@@ -10,7 +10,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 
@@ -110,11 +109,10 @@ func (k *searchJob) prepare(m *Manager) error {
 	if k.probeOpts == nil {
 		return nil
 	}
-	probe, err := m.cfg.Engines(*k.probeOpts)
+	probe, err := m.engine(*k.probeOpts)
 	if err != nil {
 		return fmt.Errorf("probe engine: %w", err)
 	}
-	m.registerEngine(probe)
 	k.probe = []search.Fidelity{{Name: "probe", Eval: searchEvaluator(probe)}}
 	return nil
 }
@@ -145,26 +143,8 @@ func searchEvaluator(e Engine) search.Evaluator {
 type engineEvaluator struct{ e Engine }
 
 func (a engineEvaluator) EvaluateBatch(ctx context.Context, pts []core.DesignPoint) []core.Result {
-	out := make([]core.Result, len(pts))
-	done := make([]bool, len(pts))
-	rs, err := a.e.RunWithHook(ctx, pts, func(ev dse.Event) {
-		if ev.Index >= 0 && ev.Index < len(out) {
-			out[ev.Index] = ev.Result
-			done[ev.Index] = true
-		}
-	})
-	if err == nil && len(rs) == len(pts) {
-		return rs
-	}
-	if err == nil {
-		err = errors.New("serve: engine returned a short result slice")
-	}
-	for i := range out {
-		if !done[i] {
-			out[i] = core.Result{Point: pts[i], Err: err}
-		}
-	}
-	return out
+	rs, _, _ := runRows(ctx, a.e, pts)
+	return rs
 }
 
 // searchProgress is the driver's per-round hook: it serialises one

@@ -649,7 +649,7 @@ func TestShutdownDrainsAndRejects(t *testing.T) {
 	if _, err := mgr.Submit(context.Background(), SweepRequest{}); err != ErrShuttingDown {
 		t.Fatalf("submit while draining: %v", err)
 	}
-	if _, _, err := mgr.Evaluate(context.Background(), nil, core.DesignPoint{}, 0); err != ErrShuttingDown {
+	if _, _, err := mgr.EvaluateBatch(context.Background(), nil, []core.DesignPoint{{}}, 0); err != ErrShuttingDown {
 		t.Fatalf("evaluate while draining: %v", err)
 	}
 }
